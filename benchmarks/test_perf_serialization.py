@@ -66,7 +66,7 @@ def test_perf_structured_vs_pickle():
     ``FlowTable.__reduce__`` packs now — the single contiguous column
     plane, copied once (the transport copy a pipe or block transfer
     pays) and rebuilt through zero-copy views. The structured
-    RECORD_DTYPE round-trip the shm transport and disk cache move is
+    RECORD_DTYPE round-trip the disk cache moves is
     timed alongside and recorded in the history entry. Both directions
     are timed together (a transport pays both ends), best-of-reps; the
     >= 3x assertion only applies with >= 2 CPU cores — below that the

@@ -186,7 +186,8 @@ class ReflectorSetProcess:
         )
         self._days: list[np.ndarray] = []
         # Materialization consumes self._rng sequentially, day by day.
-        # Concurrent day tasks (the thread executor) must extend the
+        # Serve resolves requests in concurrent asyncio.to_thread workers
+        # (several under --compute-slots), and those must extend the
         # sequence one holder at a time or the draws interleave and the
         # day sets stop being reproducible.
         self._lock = threading.Lock()

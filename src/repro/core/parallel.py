@@ -7,20 +7,21 @@ and so on — never by drawing from a shared generator. A day's traffic
 therefore does not depend on which days were generated before it, in
 which order, or in which process. This module exploits that:
 
-* :class:`DaySpec` is a picklable recipe for one scenario-day (config +
-  day index + vantage + takedown), shipped to worker processes instead
-  of the live :class:`~repro.scenario.scenario.Scenario`;
-* each worker process reconstructs (or, under ``fork``, inherits) the
-  scenario once per config ``content_hash()`` and reuses it for every
-  day it executes;
-* day fans dispatch to the **persistent warm pool** owned by
-  :mod:`repro.core.workerpool` — spawned once per (executor, jobs,
-  config) and reused across all call sites, with day batching and,
-  for per-event-seeded scenarios, intra-day event-range sharding;
+* each fan-out entry point (:func:`observed_days`,
+  :func:`daily_port_counts`, :func:`streaming_ingest`,
+  :func:`day_attack_tables`) reads what it can from the day cache, hands
+  the missing days to the one dispatch helper, :func:`_dispatch`, and
+  writes the fresh results back;
+* :func:`_dispatch` runs a module-level task ``task(scenario, item)``
+  either inline on the live scenario (``jobs=1``, or a single item) or
+  on the **persistent warm pool** owned by :mod:`repro.core.workerpool`,
+  spawned once per (jobs, config) and reused across all call sites, with
+  day batching; pool workers run the task on their own copy of the
+  world, rebuilt (or, under ``fork``, inherited) once per config
+  ``content_hash()``;
 * per-day results merge through order-independent reductions — series
   arrays keyed by day, HyperLogLog register max, per-destination
-  max/sum — so ``jobs=1`` and ``jobs=N`` are **bit-identical** for
-  every executor mode.
+  max/sum — so ``jobs=1`` and ``jobs=N`` are **bit-identical**.
 
 :class:`DayResultCache` is a process-wide LRU keyed by
 ``(kind, config content hash, takedown, vantage, day, with_takedown)``.
@@ -36,29 +37,26 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.booter.takedown import TakedownScenario
 from repro.core.workerpool import (
     REPLAY_PREFIX as _REPLAY_PREFIX,
-    WorkerPool,
-    execution_policy,
     get_pool,
     record_inline_pool,
     register_scenario,
+    resolve_batch,
     scenario_for,
 )
 from repro.flows.records import FlowTable, SCHEMA
 from repro.obs import MetricsRegistry, metrics
 from repro.scenario.config import ScenarioConfig
-from repro.scenario.scenario import DayTraffic, Scenario
+from repro.scenario.scenario import Scenario
 
 __all__ = [
-    "DaySpec",
     "DayResultCache",
     "day_cache",
     "resolve_jobs",
@@ -71,84 +69,57 @@ __all__ = [
 ]
 
 
-# -- day specs and worker-side scenario reconstruction ------------------------
+# -- day tasks (module-level: must pickle) -------------------------------------
 
 
-@dataclass(frozen=True)
-class DaySpec:
-    """Picklable recipe for one scenario-day of work.
-
-    Carries everything a worker process needs to regenerate the day
-    bit-identically: the full scenario config, the day index, the
-    vantage point (``None`` for ground-truth-only tasks), the takedown
-    flag, and the (possibly customized) takedown scenario to apply.
-    """
-
-    config: ScenarioConfig
-    day: int
-    vantage: str | None
-    with_takedown: bool
-    takedown: TakedownScenario | None = None
+def _observed(scenario: Scenario, day: int, vantage: str, with_takedown: bool) -> FlowTable:
+    traffic = scenario.day_traffic(day, with_takedown=with_takedown)
+    return scenario.observe_day(vantage, traffic)
 
 
-@dataclass(frozen=True)
-class DayShardSpec:
-    """Picklable recipe for one event-range shard of one scenario-day.
-
-    Only valid for scenarios built with ``per_event_seeds=True`` —
-    see :meth:`repro.scenario.scenario.Scenario.day_traffic_shard`.
-    """
-
-    config: ScenarioConfig
-    day: int
-    with_takedown: bool
-    takedown: TakedownScenario | None
-    shard: int
-    n_shards: int
-
-
-def _materialize(spec: DaySpec | DayShardSpec) -> Scenario:
-    scenario = scenario_for(spec.config)
-    if spec.takedown is not None and scenario.takedown != spec.takedown:
-        scenario.takedown = spec.takedown
-    return scenario
-
-
-# -- worker task functions (module-level: must pickle) ------------------------
-
-
-def _observed_task(spec: DaySpec) -> FlowTable:
-    scenario = _materialize(spec)
-    traffic = scenario.day_traffic(spec.day, with_takedown=spec.with_takedown)
-    return scenario.observe_day(spec.vantage, traffic)
-
-
-def _port_counts_task(spec: DaySpec, selectors: Sequence[Any]) -> dict[str, int]:
-    observed = _observed_task(spec)
+def _port_counts(
+    scenario: Scenario,
+    day: int,
+    vantage: str,
+    with_takedown: bool,
+    selectors: Sequence[Any],
+) -> dict[str, int]:
+    observed = _observed(scenario, day, vantage, with_takedown)
     return {s.name: s.packets(observed) for s in selectors}
 
 
-def _attack_table_task(spec: DaySpec) -> FlowTable:
-    scenario = _materialize(spec)
-    traffic = scenario.day_traffic(spec.day, with_takedown=spec.with_takedown)
-    return traffic.attack
+def _attack_table(scenario: Scenario, day: int, with_takedown: bool) -> FlowTable:
+    return scenario.day_traffic(day, with_takedown=with_takedown).attack
 
 
-def _ingest_chunk_task(chunk: tuple[tuple[DaySpec, ...], Any]) -> Any:
-    specs, analyzer = chunk
-    for spec in specs:
-        analyzer.ingest_day(spec.day, _observed_task(spec))
+def _ingest_chunk(
+    scenario: Scenario, chunk: tuple[tuple[int, ...], Any], vantage: str, with_takedown: bool
+) -> Any:
+    days, analyzer = chunk
+    for day in days:
+        analyzer.ingest_day(day, _observed(scenario, day, vantage, with_takedown))
     return analyzer
 
 
-def _day_shard_task(spec: DayShardSpec):
-    scenario = _materialize(spec)
-    return scenario.day_traffic_shard(
-        spec.day, spec.shard, spec.n_shards, with_takedown=spec.with_takedown
-    )
+def _on_worker(
+    task: Callable[[Scenario, Any], Any],
+    config: ScenarioConfig,
+    takedown: TakedownScenario,
+    item: Any,
+) -> Any:
+    """Pool side of :func:`_dispatch`: run ``task`` on this worker's world.
+
+    The worker's scenario is memoized per config hash; the (possibly
+    customized) takedown scenario travels with the task because the
+    parent may have changed it after the worker forked.
+    """
+    scenario = scenario_for(config)
+    if scenario.takedown != takedown:
+        scenario.takedown = takedown
+    return task(scenario, item)
 
 
-# -- the executor -------------------------------------------------------------
+# -- the dispatch path ---------------------------------------------------------
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -169,117 +140,50 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _resolve_executor(executor: str | None) -> str:
-    return executor if executor is not None else execution_policy().executor
-
-
-def _use_pool(mode: str, n_jobs: int, n_items: int) -> bool:
-    """Whether this fan goes to the warm pool or runs inline.
+def _use_pool(jobs: int | None, n_items: int) -> bool:
+    """Whether a fan of ``n_items`` goes to the warm pool or runs inline.
 
     Single items stay inline even with ``jobs > 1`` — a warm dispatch
-    is cheap, but the serial path skips pickling entirely and single
+    is cheap, but the inline path skips pickling entirely and single
     one-shot lookups should not spawn a pool at all.
     """
-    return mode != "inline" and n_jobs > 1 and n_items > 1
+    return resolve_jobs(jobs) > 1 and n_items > 1
 
 
-def _effective_shards(scenario: Scenario, n_jobs: int, mode: str) -> int:
-    """Intra-day fan-out for expensive days (1 = sharding off).
-
-    Sharding needs the per-event seeding mode (the legacy sequential
-    stream cannot be split bit-identically) and a pool to fan over; the
-    shard count comes from the execution policy, defaulting to the
-    worker count.
-    """
-    if mode == "inline" or n_jobs <= 1 or not scenario.config.per_event_seeds:
-        return 1
-    policy_shards = execution_policy().day_shards
-    return policy_shards if policy_shards > 0 else n_jobs
-
-
-def _pool_map(
-    fn: Callable[[Any], Any],
-    items: list[Any],
-    jobs: int,
-    scenario: Scenario | None = None,
-    executor: str | None = None,
-    batch_days: int | None = None,
-) -> list[Any]:
-    """Map ``fn`` over ``items`` on the warm worker pool (or inline).
-
-    Results come back in submission order, so callers can zip them with
-    their inputs. See :func:`_pool_map_with_deltas` for the metering
-    contract.
-    """
-    return [
-        result
-        for result, _ in _pool_map_with_deltas(
-            fn, items, jobs, scenario=scenario, executor=executor, batch_days=batch_days
-        )
-    ]
-
-
-def _pool_map_with_deltas(
-    fn: Callable[[Any], Any],
-    items: list[Any],
-    jobs: int,
-    scenario: Scenario | None = None,
-    executor: str | None = None,
-    batch_days: int | None = None,
-) -> list[tuple[Any, dict[str, float] | None]]:
-    """:func:`_pool_map`, but each result is paired with the ``scenario.*``
-    counter deltas its task recorded (``None`` when the registry is off).
-
-    Per-day deltas are what the cache stores alongside each day result so
-    a later cache hit can replay them — see :func:`_cache_get`. Pooled
-    fans go to the persistent :func:`repro.core.workerpool.get_pool`
-    executor (``scenario`` keys the pool and must be provided); the
-    inline path records the same ``pool.*`` counter family with one
-    worker, so ``--jobs 1`` profiles stay comparable with pooled runs.
-    """
-    registry = metrics()
-    mode = _resolve_executor(executor)
-    n_jobs = resolve_jobs(jobs)
-    if not _use_pool(mode, n_jobs, len(items)):
-        start = time.perf_counter()
-        out = []
-        for item in items:
-            before = _counters_snapshot(registry)
-            result = fn(item)
-            out.append((result, _counters_delta(registry, before)))
-        record_inline_pool(registry, len(items), time.perf_counter() - start)
-        return out
-    if scenario is None:
-        raise ValueError("pooled _pool_map_with_deltas needs the scenario (keys the pool)")
-    if batch_days is None:
-        batch_days = execution_policy().batch_days
-    pool = get_pool(scenario, n_jobs, mode)
-    return pool.map_with_deltas(fn, items, batch=batch_days or None)
-
-
-def _sharded_day_traffic(
+def _dispatch(
     scenario: Scenario,
-    pool: WorkerPool,
-    day: int,
-    with_takedown: bool,
-    takedown: TakedownScenario,
-    n_shards: int,
-) -> DayTraffic:
-    """Generate one expensive day by fanning its event range over the pool.
+    task: Callable[[Scenario, Any], Any],
+    items: Sequence[Any],
+    jobs: int | None,
+    batch_days: int = 0,
+) -> Iterator[tuple[Any, Any, dict[str, float] | None]]:
+    """Yield ``(item, task(scenario, item), deltas)`` for every item, in order.
 
-    Shard tasks return partial tables (no ``scenario.*`` counters); the
-    parent reassembles them via ``Scenario.combine_day_shards``, which
-    records the day's work counters exactly once — so digests match the
-    unsharded per-event-seeded generation bit for bit, for any shard
-    count.
+    The one dispatch path of the fan-out entry points. ``deltas`` are
+    the ``scenario.*`` counter deltas the task recorded (``None`` when
+    the registry is off) — what the cache stores so a later hit can
+    replay them (see :func:`_cache_get`). Pooled fans go to
+    :func:`repro.core.workerpool.get_pool` with ``batch_days`` items per
+    task (0 = auto). Inline fans run lazily, one item per step, on the
+    live scenario — so a caller that drops each result before the next
+    never holds the whole range — and, once exhausted, record the same
+    ``pool.*`` counter family with one worker, keeping ``--jobs 1``
+    profiles comparable with pooled runs.
     """
-    specs = [
-        DayShardSpec(scenario.config, day, with_takedown, takedown, shard, n_shards)
-        for shard in range(n_shards)
-    ]
-    metrics().inc("pool.shard_tasks", n_shards)
-    parts = [part for part, _ in pool.map_with_deltas(_day_shard_task, specs, batch=1)]
-    return scenario.combine_day_shards(parts)
+    if _use_pool(jobs, len(items)):
+        remote = partial(_on_worker, task, scenario.config, scenario.takedown)
+        pool = get_pool(scenario, resolve_jobs(jobs))
+        pairs = pool.map_with_deltas(remote, items, batch=batch_days or None)
+        for item, (result, deltas) in zip(items, pairs):
+            yield item, result, deltas
+        return
+    registry = metrics()
+    start = time.perf_counter()
+    for item in items:
+        before = _counters_snapshot(registry)
+        result = task(scenario, item)
+        yield item, result, _counters_delta(registry, before)
+    record_inline_pool(registry, len(items), time.perf_counter() - start)
 
 
 # -- the day-result cache ------------------------------------------------------
@@ -289,7 +193,7 @@ def _sharded_day_traffic(
 # logical work counters describe the dataset an experiment processed, not
 # the physical generations the strategy happened to run, so serving a day
 # from the cache must count the same as regenerating it. That is what
-# keeps them identical across ``jobs``/``cache``/executor strategies.
+# keeps them identical across ``jobs``/``cache`` strategies.
 
 
 def _counters_snapshot(registry: MetricsRegistry) -> dict[str, float] | None:
@@ -376,13 +280,14 @@ class DayResultCache:
     rewritten to disk), and inserts write through. Flow tables evicted
     from the memory LRU remain reachable on disk.
 
-    The cache is thread-safe: the serving plane resolves requests from
-    ``asyncio.to_thread`` workers while thread-pool day tasks and pool
-    result callbacks insert concurrently, so every mutation of the LRU
-    (and the paired size/counter bookkeeping) happens under one re-entrant
-    lock. OrderedDict mutation is *not* atomic under concurrent
-    ``move_to_end``/``popitem`` — unlocked, a race corrupts the linked
-    list or loses ``resident_bytes`` accounting.
+    The cache is thread-safe: the serving plane resolves requests in
+    ``asyncio.to_thread`` workers (several at once under
+    ``--compute-slots``), and each resolver reads and inserts day
+    results, so every mutation of the LRU (and the paired size/counter
+    bookkeeping) happens under one re-entrant lock. OrderedDict mutation
+    is *not* atomic under concurrent ``move_to_end``/``popitem`` —
+    unlocked, a race corrupts the linked list or loses
+    ``resident_bytes`` accounting.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -525,6 +430,28 @@ def _key(
     return (kind, config_hash, repr(takedown), vantage, int(day), bool(with_takedown), extra)
 
 
+def _cache_split(
+    days: list[int], key_of: Callable[[int], tuple], cache: bool
+) -> tuple[dict[int, Any], list[int]]:
+    """The cache-read prelude: ``days`` split into cached values and misses.
+
+    Hits replay their recorded deltas (see :func:`_cache_get`); with
+    ``cache`` off every day misses. The misses are what the caller
+    dispatches, and are counted as ``parallel.days_dispatched``.
+    """
+    hits: dict[int, Any] = {}
+    missing: list[int] = []
+    for day in days:
+        hit = _cache_get(key_of(day)) if cache else None
+        if hit is None:
+            missing.append(day)
+        else:
+            hits[day] = hit[0]
+    if missing:
+        metrics().inc("parallel.days_dispatched", len(missing))
+    return hits, missing
+
+
 # -- public day-pipeline helpers ----------------------------------------------
 
 
@@ -535,75 +462,27 @@ def observed_days(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
+    batch_days: int = 0,
 ) -> list[FlowTable]:
     """One observed flow table per day, in ``days`` order.
 
-    Cache-aware and parallel: cached days are returned immediately, the
-    rest fan out over the warm worker pool (``jobs``/``executor``, with
-    ``batch_days`` specs per task) or run inline. When fewer missing
-    days than workers remain and the scenario uses per-event seeding,
-    each day's event range is sharded across the pool instead (see
-    :func:`_sharded_day_traffic`).
+    Cached days are returned immediately; the rest run through
+    :func:`_dispatch` (``jobs`` workers, ``batch_days`` days per pool
+    task, 0 = auto) and are cached on the way back.
     """
     with metrics().span("parallel.observed_days"):
         days = [int(d) for d in days]
         config_hash, takedown = _context(scenario)
-        results: dict[int, FlowTable] = {}
-        missing: list[int] = []
-        for day in days:
+
+        def key(day: int) -> tuple:
+            return _key("observed", config_hash, takedown, vantage, day, with_takedown)
+
+        results, missing = _cache_split(days, key, cache)
+        task = partial(_observed, vantage=vantage, with_takedown=with_takedown)
+        for day, table, deltas in _dispatch(scenario, task, missing, jobs, batch_days):
+            results[day] = table
             if cache:
-                hit = _cache_get(_key("observed", config_hash, takedown, vantage, day, with_takedown))
-                if hit is not None:
-                    results[day] = hit[0]
-                    continue
-            missing.append(day)
-        if missing:
-            n_jobs = resolve_jobs(jobs)
-            mode = _resolve_executor(executor)
-            registry = metrics()
-            registry.inc("parallel.days_dispatched", len(missing))
-            n_shards = _effective_shards(scenario, n_jobs, mode)
-            if n_shards > 1 and len(missing) < n_jobs:
-                pool = get_pool(scenario, n_jobs, mode)
-                for day in missing:
-                    before = _counters_snapshot(registry)
-                    traffic = _sharded_day_traffic(
-                        scenario, pool, day, with_takedown, takedown, n_shards
-                    )
-                    table = scenario.observe_day(vantage, traffic)
-                    results[day] = table
-                    if cache:
-                        _cache_put(
-                            _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                            table,
-                            _counters_delta(registry, before),
-                        )
-                return [results[day] for day in days]
-            specs = [DaySpec(scenario.config, d, vantage, with_takedown, takedown) for d in missing]
-            if _use_pool(mode, n_jobs, len(specs)):
-                pairs = _pool_map_with_deltas(
-                    _observed_task, specs, n_jobs,
-                    scenario=scenario, executor=mode, batch_days=batch_days,
-                )
-            else:
-                pairs = []
-                start = time.perf_counter()
-                for spec in specs:
-                    before = _counters_snapshot(registry)
-                    traffic = scenario.day_traffic(spec.day, with_takedown=with_takedown)
-                    table = scenario.observe_day(vantage, traffic)
-                    pairs.append((table, _counters_delta(registry, before)))
-                record_inline_pool(registry, len(specs), time.perf_counter() - start)
-            for day, (table, deltas) in zip(missing, pairs):
-                results[day] = table
-                if cache:
-                    _cache_put(
-                        _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                        table,
-                        deltas,
-                    )
+                _cache_put(key(day), table, deltas)
         return [results[day] for day in days]
 
 
@@ -615,101 +494,61 @@ def daily_port_counts(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
+    batch_days: int = 0,
 ) -> dict[int, dict[str, int]]:
     """Per-day packet counts per selector, keyed by day.
 
-    Process workers ship back only the reduced counts (never flow
-    tables); thread workers share memory anyway. With the cache
-    enabled, a day is served from its cached counts, derived from a
-    cached observed table if one exists, or regenerated.
+    With the cache enabled, a day is served from its cached counts,
+    derived from a cached observed table if one exists, or regenerated.
+    Pool workers ship back only the reduced counts (never flow tables);
+    inline runs reduce in the parent and also cache the observed table,
+    so later experiments over the same days (any reduction) reuse it.
     """
     with metrics().span("parallel.daily_port_counts"):
         selectors = list(selectors)
         fingerprint = tuple((s.name, s.port, s.direction) for s in selectors)
         config_hash, takedown = _context(scenario)
+
+        def observed_key(day: int) -> tuple:
+            return _key("observed", config_hash, takedown, vantage, day, with_takedown)
+
+        def ports_key(day: int) -> tuple:
+            return _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint)
+
+        def reduce(observed: FlowTable) -> dict[str, int]:
+            return {s.name: s.packets(observed) for s in selectors}
+
         counts: dict[int, dict[str, int]] = {}
         missing: list[int] = []
         for day in [int(d) for d in days]:
             if cache:
-                ports_key = _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint)
-                hit = _cache_get(ports_key)
+                hit = _cache_get(ports_key(day))
                 if hit is not None:
                     counts[day] = hit[0]
                     continue
-                observed_hit = _cache_get(
-                    _key("observed", config_hash, takedown, vantage, day, with_takedown)
-                )
-                if observed_hit is not None:
-                    observed, deltas = observed_hit
-                    counts[day] = {s.name: s.packets(observed) for s in selectors}
-                    _cache_put(ports_key, counts[day], deltas)
+                hit = _cache_get(observed_key(day))
+                if hit is not None:
+                    observed, deltas = hit
+                    counts[day] = reduce(observed)
+                    _cache_put(ports_key(day), counts[day], deltas)
                     continue
             missing.append(day)
         if missing:
-            n_jobs = resolve_jobs(jobs)
-            mode = _resolve_executor(executor)
-            registry = metrics()
-            registry.inc("parallel.days_dispatched", len(missing))
-            n_shards = _effective_shards(scenario, n_jobs, mode)
-            specs = [DaySpec(scenario.config, d, vantage, with_takedown, takedown) for d in missing]
-            if n_shards > 1 and len(missing) < n_jobs:
-                pool = get_pool(scenario, n_jobs, mode)
-                for day in missing:
-                    before = _counters_snapshot(registry)
-                    traffic = _sharded_day_traffic(
-                        scenario, pool, day, with_takedown, takedown, n_shards
-                    )
-                    observed = scenario.observe_day(vantage, traffic)
-                    counts[day] = {s.name: s.packets(observed) for s in selectors}
-                    if cache:
-                        deltas = _counters_delta(registry, before)
-                        _cache_put(
-                            _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                            observed,
-                            deltas,
-                        )
-                        _cache_put(
-                            _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint),
-                            counts[day],
-                            deltas,
-                        )
-            elif _use_pool(mode, n_jobs, len(specs)):
-                fresh = _pool_map_with_deltas(
-                    partial(_port_counts_task, selectors=selectors), specs, n_jobs,
-                    scenario=scenario, executor=mode, batch_days=batch_days,
-                )
-                for day, (value, deltas) in zip(missing, fresh):
-                    counts[day] = value
-                    if cache:
-                        _cache_put(
-                            _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint),
-                            value,
-                            deltas,
-                        )
-            else:
-                # Serial: also cache the observed table so later experiments
-                # over the same days (any reduction) can reuse it.
-                start = time.perf_counter()
-                for day in missing:
-                    before = _counters_snapshot(registry)
-                    traffic = scenario.day_traffic(day, with_takedown=with_takedown)
-                    observed = scenario.observe_day(vantage, traffic)
-                    counts[day] = {s.name: s.packets(observed) for s in selectors}
-                    if cache:
-                        deltas = _counters_delta(registry, before)
-                        _cache_put(
-                            _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                            observed,
-                            deltas,
-                        )
-                        _cache_put(
-                            _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint),
-                            counts[day],
-                            deltas,
-                        )
-                record_inline_pool(registry, len(missing), time.perf_counter() - start)
+            metrics().inc("parallel.days_dispatched", len(missing))
+        pooled = _use_pool(jobs, len(missing))
+        task = partial(_observed, vantage=vantage, with_takedown=with_takedown)
+        if pooled:
+            task = partial(
+                _port_counts, vantage=vantage, with_takedown=with_takedown, selectors=selectors
+            )
+        for day, value, deltas in _dispatch(scenario, task, missing, jobs, batch_days):
+            if not pooled:
+                if cache:
+                    _cache_put(observed_key(day), value, deltas)
+                value = reduce(value)
+            counts[day] = value
+            if cache:
+                _cache_put(ports_key(day), value, deltas)
         return counts
 
 
@@ -721,77 +560,53 @@ def streaming_ingest(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
+    batch_days: int = 0,
 ) -> Any:
     """Feed ``days`` through ``analyzer``, optionally over the pool.
 
-    With ``jobs > 1`` the analyzer must implement the merge protocol
-    (``clone_empty()`` + ``merge(other)``); each worker chunk ingests
-    into its own clone and the clones fold back order-independently.
-    Cached observed days are ingested directly in the parent. Days are
-    pre-chunked to ``batch_days`` per clone (auto-sized by default), so
-    the pool maps the chunks one task each.
+    Cached observed days are ingested directly in the parent. Inline,
+    the remaining days are observed, cached and ingested one at a time.
+    Pooled, the analyzer must implement the merge protocol
+    (``clone_empty()`` + ``merge(other)``): days are pre-chunked to
+    ``batch_days`` per clone (auto-sized by default), each pool task
+    ingests one chunk into its clone, and the clones fold back
+    order-independently.
     """
     with metrics().span("parallel.streaming_ingest"):
         days = [int(d) for d in days]
         config_hash, takedown = _context(scenario)
-        pending: list[int] = []
-        for day in days:
-            if cache:
-                hit = _cache_get(_key("observed", config_hash, takedown, vantage, day, with_takedown))
-                if hit is not None:
-                    analyzer.ingest_day(day, hit[0])
-                    continue
-            pending.append(day)
-        if not pending:
-            return analyzer
-        n_jobs = resolve_jobs(jobs)
-        mode = _resolve_executor(executor)
-        registry = metrics()
-        registry.inc("parallel.days_dispatched", len(pending))
-        if _use_pool(mode, n_jobs, len(pending)):
+
+        def key(day: int) -> tuple:
+            return _key("observed", config_hash, takedown, vantage, day, with_takedown)
+
+        cached, pending = _cache_split(days, key, cache)
+        for day, observed in cached.items():
+            analyzer.ingest_day(day, observed)
+        pooled = _use_pool(jobs, len(pending))
+        items: list[Any] = pending
+        task = partial(_observed, vantage=vantage, with_takedown=with_takedown)
+        if pooled:
             if not (hasattr(analyzer, "clone_empty") and hasattr(analyzer, "merge")):
                 raise TypeError(
                     "parallel collect_streaming needs an analyzer with the merge "
                     "protocol (clone_empty() and merge()); got "
                     f"{type(analyzer).__name__}"
                 )
-            pool = get_pool(scenario, n_jobs, mode)
-            if batch_days is None:
-                batch_days = execution_policy().batch_days
-            chunk_size = pool.resolve_batch(len(pending), batch_days or None)
-            chunks = [
-                pending[i : i + chunk_size] for i in range(0, len(pending), chunk_size)
+            size = resolve_batch(len(pending), resolve_jobs(jobs), batch_days)
+            items = [
+                (tuple(pending[i : i + size]), analyzer.clone_empty())
+                for i in range(0, len(pending), size)
             ]
-            tasks = [
-                (
-                    tuple(DaySpec(scenario.config, d, vantage, with_takedown, takedown) for d in chunk),
-                    analyzer.clone_empty(),
-                )
-                for chunk in chunks
-            ]
-            # Each task is already a chunk of days sharing one analyzer
-            # clone, so the pool maps them unbatched (batch=1).
-            for part in _pool_map(
-                _ingest_chunk_task, tasks, n_jobs,
-                scenario=scenario, executor=mode, batch_days=1,
-            ):
-                analyzer.merge(part)
-        else:
-            start = time.perf_counter()
-            for day in pending:
-                before = _counters_snapshot(registry)
-                traffic = scenario.day_traffic(day, with_takedown=with_takedown)
-                observed = scenario.observe_day(vantage, traffic)
-                if cache:
-                    _cache_put(
-                        _key("observed", config_hash, takedown, vantage, day, with_takedown),
-                        observed,
-                        _counters_delta(registry, before),
-                    )
-                analyzer.ingest_day(day, observed)
-            record_inline_pool(registry, len(pending), time.perf_counter() - start)
+            task = partial(_ingest_chunk, vantage=vantage, with_takedown=with_takedown)
+        # A pooled item is already a chunk of days sharing one analyzer
+        # clone, so the pool maps the chunks unbatched (batch=1).
+        for item, value, deltas in _dispatch(scenario, task, items, jobs, batch_days=1):
+            if pooled:
+                analyzer.merge(value)
+                continue
+            if cache:
+                _cache_put(key(item), value, deltas)
+            analyzer.ingest_day(item, value)
         return analyzer
 
 
@@ -822,56 +637,20 @@ def day_attack_tables(
     with_takedown: bool = True,
     jobs: int = 1,
     cache: bool = False,
-    executor: str | None = None,
-    batch_days: int | None = None,
+    batch_days: int = 0,
 ) -> list[FlowTable]:
     """Ground-truth attack flow tables per day, in ``days`` order."""
     with metrics().span("parallel.day_attack_tables"):
         days = [int(d) for d in days]
         config_hash, takedown = _context(scenario)
-        results: dict[int, FlowTable] = {}
-        missing: list[int] = []
-        for day in days:
+
+        def key(day: int) -> tuple:
+            return _key("attack", config_hash, takedown, None, day, with_takedown)
+
+        results, missing = _cache_split(days, key, cache)
+        task = partial(_attack_table, with_takedown=with_takedown)
+        for day, table, deltas in _dispatch(scenario, task, missing, jobs, batch_days):
+            results[day] = table
             if cache:
-                hit = _cache_get(_key("attack", config_hash, takedown, None, day, with_takedown))
-                if hit is not None:
-                    results[day] = hit[0]
-                    continue
-            missing.append(day)
-        if missing:
-            n_jobs = resolve_jobs(jobs)
-            mode = _resolve_executor(executor)
-            registry = metrics()
-            registry.inc("parallel.days_dispatched", len(missing))
-            n_shards = _effective_shards(scenario, n_jobs, mode)
-            if n_shards > 1 and len(missing) < n_jobs:
-                pool = get_pool(scenario, n_jobs, mode)
-                pairs = []
-                for day in missing:
-                    before = _counters_snapshot(registry)
-                    traffic = _sharded_day_traffic(
-                        scenario, pool, day, with_takedown, takedown, n_shards
-                    )
-                    pairs.append((traffic.attack, _counters_delta(registry, before)))
-            else:
-                specs = [DaySpec(scenario.config, d, None, with_takedown, takedown) for d in missing]
-                if _use_pool(mode, n_jobs, len(specs)):
-                    pairs = _pool_map_with_deltas(
-                        _attack_table_task, specs, n_jobs,
-                        scenario=scenario, executor=mode, batch_days=batch_days,
-                    )
-                else:
-                    pairs = []
-                    start = time.perf_counter()
-                    for d in missing:
-                        before = _counters_snapshot(registry)
-                        table = scenario.day_traffic(d, with_takedown=with_takedown).attack
-                        pairs.append((table, _counters_delta(registry, before)))
-                    record_inline_pool(registry, len(missing), time.perf_counter() - start)
-            for day, (table, deltas) in zip(missing, pairs):
-                results[day] = table
-                if cache:
-                    _cache_put(
-                        _key("attack", config_hash, takedown, None, day, with_takedown), table, deltas
-                    )
+                _cache_put(key(day), table, deltas)
         return [results[day] for day in days]

@@ -10,8 +10,8 @@ This module fans those ``strategy x replica`` runs across the persistent
   scenario config and a frozen intervention — workers rebuild (or, under
   fork, inherit) the market via :func:`repro.core.workerpool.scenario_for`
   and seed the run from the scenario seed tree, so results are
-  bit-identical across the ``inline`` / ``thread`` / ``process``
-  executors (pinned by the ledger digests in each result);
+  bit-identical inline (``jobs=1``) and on the process pool (pinned by
+  the ledger digests in each result);
 * worker-side ``econ.*`` counters merge back into the parent registry
   through the pool's standard metering path, so a replica study shows up
   in ``--profile`` / ``--metrics-out`` like any other fan-out.
@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.parallel import resolve_jobs
 from repro.core.workerpool import (
-    execution_policy,
     get_pool,
     record_inline_pool,
     register_scenario,
@@ -76,13 +75,13 @@ class ReplicaResult:
 def _replica_seeds(scenario: Scenario, task: ReplicaTask):
     # Child path includes strategy name and replica index, so every
     # (strategy, replica) pair owns an independent stream derived only
-    # from the scenario seed — identical in any executor or order.
+    # from the scenario seed — identical in any process or order.
     return scenario.seeds.child("econ-replica", task.intervention.name, task.replica)
 
 
 def _run_replica_task(task: ReplicaTask) -> ReplicaResult:
     """Pool worker: run one ledger replica and summarize it (module-level
-    so process executors can pickle the callable)."""
+    so the process pool can pickle the callable)."""
     scenario = scenario_for(task.config)
     sim = EconomySimulation(
         scenario.market,
@@ -160,7 +159,6 @@ def run_intervention_replicas(
     *,
     n_customers: int = 100_000,
     jobs: int | None = 1,
-    executor: str | None = None,
     batch: int | None = None,
     dynamics: CustomerDynamics = CustomerDynamics(),
     paying_fraction: float = 0.12,
@@ -168,18 +166,16 @@ def run_intervention_replicas(
 ) -> ReplicaStudy:
     """Fan ``len(interventions) x n_replicas`` ledger runs over the pool.
 
-    ``jobs``/``executor``/``batch`` follow the day-pipeline conventions
-    (``jobs=None``/``0`` = all cores; executor ``None`` defers to the
-    process-wide :func:`~repro.core.workerpool.execution_policy`). The
-    fan is a pure execution strategy: results — including every ledger
-    digest — are identical across inline, thread, and process executors.
+    ``jobs``/``batch`` follow the day-pipeline conventions
+    (``jobs=None``/``0`` = all cores). The fan is a pure execution
+    strategy: results — including every ledger digest — are identical
+    inline and on the process pool.
     """
     if n_replicas <= 0:
         raise ValueError("n_replicas must be positive")
     if not interventions:
         raise ValueError("need at least one intervention to study")
     n_jobs = resolve_jobs(jobs)
-    mode = executor if executor is not None else execution_policy().executor
     tasks = [
         ReplicaTask(
             config=scenario.config,
@@ -196,13 +192,13 @@ def run_intervention_replicas(
     ]
     registry = metrics()
     results: list[Any]
-    if mode == "inline" or n_jobs <= 1 or len(tasks) <= 1:
+    if n_jobs <= 1 or len(tasks) <= 1:
         register_scenario(scenario)
         start = time.perf_counter()
         results = [_run_replica_task(task) for task in tasks]
         record_inline_pool(registry, len(tasks), time.perf_counter() - start)
     else:
-        pool = get_pool(scenario, n_jobs, mode)
+        pool = get_pool(scenario, n_jobs)
         results = [r for r, _ in pool.map_with_deltas(_run_replica_task, tasks, batch=batch)]
     study = ReplicaStudy(
         n_replicas=n_replicas,

@@ -41,7 +41,6 @@ def _observed_window(scenario: Scenario, vantage: str, config: ExperimentConfig)
         range(start, end),
         jobs=config.jobs,
         cache=config.use_cache,
-        executor=config.executor,
         batch_days=config.batch_days,
     )
     return FlowTable.concat(tables)
@@ -57,7 +56,6 @@ def run_fig2a(config: ExperimentConfig) -> ExperimentResult:
         [day],
         jobs=config.jobs,
         cache=config.use_cache,
-        executor=config.executor,
         batch_days=config.batch_days,
     )[0]
     # All NTP packets at the IXP, both directions.

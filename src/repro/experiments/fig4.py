@@ -54,7 +54,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             day_range=day_range,
             jobs=config.jobs,
             cache=config.use_cache,
-            executor=config.executor,
             batch_days=config.batch_days,
         )
         for name in SELECTORS:

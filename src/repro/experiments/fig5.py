@@ -43,7 +43,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         day_range=day_range,
         jobs=config.jobs,
         cache=config.use_cache,
-        executor=config.executor,
         batch_days=config.batch_days,
     )
     start, end = day_range

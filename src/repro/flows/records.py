@@ -28,9 +28,8 @@ Besides the columnar dict, a table has two single-buffer serializations
 
 * a contiguous structured array of :data:`RECORD_DTYPE`, the same
   50-byte packed record the binary file format
-  (:mod:`repro.flows.binio`) writes to disk; the shared-memory
-  transport (:mod:`repro.flows.shm`) and the persistent day cache
-  (:mod:`repro.core.diskcache`) move tables in this interchange layout;
+  (:mod:`repro.flows.binio`) writes to disk; the persistent day cache
+  (:mod:`repro.core.diskcache`) moves tables in this interchange layout;
 * a *column plane* (:meth:`FlowTable.to_plane`): the full-width columns
   laid slab after slab in one byte buffer, exact for every value, which
   is what pool pickling (:meth:`FlowTable.__reduce__`) ships instead of
@@ -63,9 +62,9 @@ SCHEMA: dict[str, np.dtype] = {
 _DEFAULTS = {"src_asn": -1, "dst_asn": -1, "peer_asn": -1}
 
 #: One packed flow record, little-endian, 50 bytes: the layout shared by
-#: the on-disk binary format, the pickle fast path, and the shared-memory
-#: transport. Counters are stored as u64 (two's-complement reinterpretation
-#: of the schema's i64 — exact for every value); AS numbers are stored as
+#: the on-disk binary format and the persistent day cache. Counters are
+#: stored as u64 (two's-complement reinterpretation of the schema's i64 —
+#: exact for every value); AS numbers are stored as
 #: i32, which covers 4-byte ASNs and the -1 "unknown" sentinel but NOT the
 #: full i64 schema range, so the exact serializers validate the range and
 #: only :func:`repro.flows.binio.write_flows_binary` clamps.
@@ -202,8 +201,8 @@ class FlowTable:
     def to_structured(self, clamp_asn: bool = False) -> np.ndarray:
         """This table as one contiguous :data:`RECORD_DTYPE` structured array.
 
-        The single-buffer form every serializer uses (pickle fast path,
-        shared memory, the binary file format). Counters reinterpret to
+        The single-buffer form of the binary file format and the disk
+        cache. Counters reinterpret to
         u64 (exact for all i64 values); AS numbers narrow to i32, which
         by default raises :class:`ValueError` if any value is outside
         ``[-2^31, 2^31 - 1]`` so the conversion is always bit-exact.

@@ -51,7 +51,6 @@ from repro.obs.metrics import (
     SpanStats,
     metrics,
     set_metrics,
-    set_thread_metrics,
     use_metrics,
 )
 from repro.obs.profile import (
@@ -124,7 +123,6 @@ __all__ = [
     "sanitize_metric_name",
     "set_metrics",
     "set_request_id",
-    "set_thread_metrics",
     "use_metrics",
     "validate_exposition",
     "write_chrome_trace",

@@ -63,7 +63,6 @@ EXCLUDED_PREFIXES: tuple[str, ...] = (
     "cache.",
     "pool.",
     "serve.",
-    "shm.",
     "visibility.",
     "parallel.",
     "topology.",

@@ -102,8 +102,13 @@ def _dict_to_dataclass(cls: type, data: dict[str, Any]) -> Any:
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     """Rebuild a scenario config from :func:`config_to_dict` output.
 
-    Missing fields take their defaults; unknown fields raise.
+    Missing fields take their defaults; unknown fields raise. Manifests
+    from before per-event seeding was removed carry
+    ``"per_event_seeds": false``, the one world still drawn; that field
+    is dropped so they keep loading.
     """
+    if data.get("per_event_seeds") is False:
+        data = {k: v for k, v in data.items() if k != "per_event_seeds"}
     return _dict_to_dataclass(ScenarioConfig, data)
 
 

@@ -1,9 +1,9 @@
 """Observatory-as-a-service: an async query/serving plane over the day cache.
 
-The experiment substrate built in PRs 1-6 — the in-memory
-:class:`~repro.core.parallel.DayResultCache`, the shared-memory result
-transport, the durable :class:`~repro.core.diskcache.DiskDayCache`, and
-the warm :mod:`repro.core.workerpool` — is exactly what a long-running
+The experiment substrate — the in-memory
+:class:`~repro.core.parallel.DayResultCache`, the durable
+:class:`~repro.core.diskcache.DiskDayCache`, and the warm
+:mod:`repro.core.workerpool` — is exactly what a long-running
 service needs to hand takedown time-series and victim statistics to many
 concurrent clients. This package is that service:
 
@@ -24,11 +24,11 @@ concurrent clients. This package is that service:
 * :mod:`repro.serve.sse` — Server-Sent Events framing for the live
   attack-map-style event replay;
 * :mod:`repro.serve.server` — the ``repro-serve`` console entry point
-  tying it together (``--host/--port/--cache-dir/--jobs/--executor``).
+  tying it together (``--host/--port/--cache-dir/--jobs``).
 
 Everything the service returns is derived from the same deterministic
 day pipeline the experiments use, so responses are byte-identical across
-executors, cold vs warm caches, and server restarts.
+``--jobs``, cold vs warm caches, and server restarts.
 """
 
 from repro.serve.http import (

@@ -8,9 +8,9 @@ caching on), so a request resolves through the tiers in order:
    microseconds;
 2. the attached :class:`~repro.core.diskcache.DiskDayCache` (when the
    server runs with ``--cache-dir``) — one memmap + checksum pass;
-3. warm-pool compute via :mod:`repro.core.workerpool` under the server's
-   configured ``--jobs/--executor`` — the expensive path, coalesced by
-   the single-flight layer so concurrent misses run it once.
+3. compute under the server's configured ``--jobs`` — inline, or on the
+   warm pool of :mod:`repro.core.workerpool` — the expensive path,
+   coalesced by the single-flight layer so concurrent misses run it once.
 
 Which tier served each request is counted as
 ``serve.cache_tier.{mem,disk,compute}`` by watching the cache counters
@@ -21,13 +21,14 @@ All payload builders are synchronous — the server runs them in worker
 threads via ``asyncio.to_thread`` behind a bounded semaphore — and end
 in :func:`canonical_json`: sorted keys, no whitespace, ``allow_nan``
 off. Determinism of the upstream day pipeline (bit-identical across
-``jobs``, executors, and cache temperature) therefore lifts to
+``jobs`` and cache temperature) therefore lifts to
 byte-identical HTTP payloads, which ``tests/test_serve_routes.py`` pins.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 from typing import Any, Callable
 
@@ -139,13 +140,13 @@ class ObservatoryService:
         inherits every open file descriptor — including live client
         connections, which then never see EOF when the server closes
         them. The server calls this before it starts accepting, so the
-        long-lived workers hold no connection fds. ``inline`` and
-        single-job configs have no pool and return immediately.
+        long-lived workers hold no connection fds. Single-job configs
+        have no pool and return immediately.
         """
         n_jobs = resolve_jobs(self.config.jobs)
-        if self.config.executor == "inline" or n_jobs <= 1:
+        if n_jobs <= 1:
             return
-        pool = get_pool(self.scenario, n_jobs, self.config.executor)
+        pool = get_pool(self.scenario, n_jobs)
         pool.map_with_deltas(_warm_probe, list(range(pool.workers)))
 
     # -- request-facing parsing helpers --------------------------------------
@@ -216,7 +217,6 @@ class ObservatoryService:
                 [day],
                 jobs=self.config.jobs,
                 cache=True,
-                executor=self.config.executor,
                 batch_days=self.config.batch_days,
             )[0]
         )
@@ -237,7 +237,7 @@ class ObservatoryService:
         }
 
     def config_payload(self) -> dict[str, Any]:
-        """Scenario identity, executor policy, and live cache statistics."""
+        """Scenario identity, pool settings, and live cache statistics."""
         cache = day_cache()
         return {
             "scenario": {
@@ -248,13 +248,10 @@ class ObservatoryService:
                 "n_days": self.scenario_config.n_days,
                 "takedown_day": self.scenario_config.takedown_day,
                 "takedown_date": str(date_of(self.scenario_config.takedown_day)),
-                "per_event_seeds": self.scenario_config.per_event_seeds,
             },
             "executor": {
-                "mode": self.config.executor,
                 "jobs": self.config.jobs,
                 "batch_days": self.config.batch_days,
-                "day_shards": self.config.day_shards,
             },
             "cache": cache.stats(),
             "vantages": list(VANTAGES),
@@ -276,7 +273,6 @@ class ObservatoryService:
                 [day],
                 jobs=self.config.jobs,
                 cache=True,
-                executor=self.config.executor,
                 batch_days=self.config.batch_days,
             )[0]
             events = day_events(scenario, day, cache=True)
@@ -354,7 +350,6 @@ class ObservatoryService:
                 days,
                 jobs=self.config.jobs,
                 cache=True,
-                executor=self.config.executor,
                 batch_days=self.config.batch_days,
             )
         )
@@ -408,10 +403,13 @@ class ObservatoryService:
             except ValueError as exc:
                 raise HttpError(400, f"analysis window invalid: {exc}", close=False) from None
             result = report.window(window)
+            # A before-window mean of zero leaves the ratio undefined
+            # (NaN), which canonical JSON refuses: serve it as null.
+            ratio = float(result.reduction_ratio)
             analysis[name] = {
                 "window": window,
                 "significant": bool(result.significant),
-                "reduction_ratio": float(result.reduction_ratio),
+                "reduction_ratio": ratio if math.isfinite(ratio) else None,
             }
         return analysis
 

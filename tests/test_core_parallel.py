@@ -1,14 +1,11 @@
 """Parallel day executor, merge protocol, content hash, and day cache."""
 
-import pickle
-
 import numpy as np
 import pytest
 
 from repro.booter.market import MarketConfig
 from repro.core.parallel import (
     DayResultCache,
-    DaySpec,
     day_attack_tables,
     day_cache,
     day_events,
@@ -100,11 +97,6 @@ class TestParallelDeterminism:
 
         with pytest.raises(TypeError, match="merge"):
             collect_streaming(scenario, "ixp", Bare(), day_range=(40, 44), jobs=2)
-
-    def test_day_spec_pickles(self, scenario):
-        spec = DaySpec(scenario.config, 40, "ixp", True, scenario.takedown)
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
@@ -405,54 +397,26 @@ class TestJobsValidation:
             ExperimentConfig(jobs=-1)
 
 
-class TestShmTransportIntegration:
-    def test_pool_results_via_shm_bit_identical(self, scenario):
-        from repro.flows.shm import set_transport_threshold, shm_available
+class TestPipeTransport:
+    def test_large_tables_bit_identical_and_credited_to_pipe(self, scenario):
+        """Tables above 1 MiB (the size that once took a shared-memory
+        detour) come back over the result pipe exactly, and their packed
+        bytes are credited to ``pool.pipe_bytes``."""
+        from repro.flows.records import RECORD_DTYPE, SCHEMA
+        from repro.obs import MetricsRegistry, use_metrics
 
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        serial = observed_days(scenario, "ixp", [40, 41, 42], jobs=1)
-        previous = set_transport_threshold(1)  # force every table through shm
-        try:
-            via_shm = observed_days(scenario, "ixp", [40, 41, 42], jobs=2)
-        finally:
-            set_transport_threshold(previous)
-        from repro.flows.records import SCHEMA
-
-        for a, b in zip(serial, via_shm):
+        days = [40, 41, 42]
+        serial = observed_days(scenario, "ixp", days, jobs=1)
+        registry = MetricsRegistry(enabled=True)
+        with use_metrics(registry):
+            pooled = observed_days(scenario, "ixp", days, jobs=2)
+        packed = [len(table) * RECORD_DTYPE.itemsize for table in pooled]
+        assert min(packed) > 1 << 20
+        assert registry.counter("pool.pipe_bytes") == sum(packed)
+        for a, b in zip(serial, pooled):
             assert len(a) == len(b)
             for name in SCHEMA:
                 np.testing.assert_array_equal(a[name], b[name], err_msg=name)
-
-    def test_shm_counters_recorded_under_enabled_registry(self, scenario):
-        from repro.flows.shm import set_transport_threshold, shm_available
-        from repro.obs import MetricsRegistry, use_metrics
-
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        registry = MetricsRegistry(enabled=True)
-        previous = set_transport_threshold(1)
-        try:
-            with use_metrics(registry):
-                observed_days(scenario, "ixp", [40, 41], jobs=2)
-        finally:
-            set_transport_threshold(previous)
-        assert registry.counter("shm.blocks") == 2
-        assert registry.counter("shm.bytes") > 0
-
-    def test_disabled_lane_uses_pipe(self, scenario):
-        from repro.flows.shm import set_transport_threshold
-        from repro.obs import MetricsRegistry, use_metrics
-
-        registry = MetricsRegistry(enabled=True)
-        previous = set_transport_threshold(-1)
-        try:
-            with use_metrics(registry):
-                observed_days(scenario, "ixp", [40, 41], jobs=2)
-        finally:
-            set_transport_threshold(previous)
-        assert registry.counter("shm.blocks") == 0
-        assert registry.counter("pool.pipe_bytes") > 0
 
 
 class TestDiskTierIntegration:

@@ -1,4 +1,4 @@
-"""Warm worker pool: reuse semantics, executor-mode parity, batching, sharding."""
+"""Warm worker pool: reuse semantics, inline/pool parity, and batching."""
 
 import numpy as np
 import pytest
@@ -9,19 +9,16 @@ from repro.booter.market import MarketConfig
 from repro.core.parallel import daily_port_counts, day_attack_tables, observed_days
 from repro.core.pipeline import TrafficSelector
 from repro.core.workerpool import (
-    EXECUTORS,
-    ExecutionPolicy,
     WorkerPool,
-    execution_policy,
     get_pool,
     record_inline_pool,
     register_scenario,
-    set_execution_policy,
+    resolve_batch,
     shutdown_pool,
     worker_init_count,
 )
 from repro.netmodel.topology import TopologyConfig
-from repro.obs.metrics import MetricsRegistry, metrics, set_metrics, set_thread_metrics
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.runledger import counter_digest
 from repro.scenario import Scenario, ScenarioConfig
 
@@ -55,11 +52,9 @@ def scenario():
 
 @pytest.fixture(autouse=True)
 def _clean_pool():
-    """Every test starts and ends without a live pool or policy override."""
+    """Every test starts and ends without a live pool."""
     shutdown_pool()
-    previous = set_execution_policy(ExecutionPolicy())
     yield
-    set_execution_policy(previous)
     shutdown_pool()
 
 
@@ -67,38 +62,15 @@ def _tables_equal(a, b) -> bool:
     return np.array_equal(a.to_structured(), b.to_structured())
 
 
-class TestExecutionPolicy:
-    def test_defaults(self):
-        policy = ExecutionPolicy()
-        assert policy.executor == "process"
-        assert policy.batch_days == 0
-        assert policy.day_shards == 0
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            ExecutionPolicy(executor="gpu")
-        with pytest.raises(ValueError, match="batch_days"):
-            ExecutionPolicy(batch_days=-1)
-        with pytest.raises(ValueError, match="day_shards"):
-            ExecutionPolicy(day_shards=-2)
-
-    def test_set_and_restore(self):
-        previous = set_execution_policy(executor="thread", batch_days=3)
-        assert execution_policy().executor == "thread"
-        assert execution_policy().batch_days == 3
-        set_execution_policy(previous)
-        assert execution_policy() == previous
-
-
 class TestWarmPoolReuse:
     def test_pool_survives_consecutive_fans(self, scenario):
         registry = MetricsRegistry(enabled=True)
         previous = set_metrics(registry)
         try:
-            observed_days(scenario, "ixp", [40, 41], jobs=2, executor="process")
-            observed_days(scenario, "ixp", [42, 43], jobs=2, executor="process")
+            observed_days(scenario, "ixp", [40, 41], jobs=2)
+            observed_days(scenario, "ixp", [42, 43], jobs=2)
             daily_port_counts(
-                scenario, "ixp", SELECTORS, [44, 45], jobs=2, executor="process"
+                scenario, "ixp", SELECTORS, [44, 45], jobs=2
             )
         finally:
             set_metrics(previous)
@@ -106,7 +78,7 @@ class TestWarmPoolReuse:
         assert registry.counter("pool.reuses") >= 2
 
     def test_initializer_runs_once_per_worker(self, scenario):
-        pool = get_pool(scenario, 2, "process")
+        pool = get_pool(scenario, 2)
         reports = pool.probe()
         # The parent never runs the initializer itself.
         assert worker_init_count() == 0
@@ -117,57 +89,63 @@ class TestWarmPoolReuse:
             assert scenario.config.content_hash() in report["scenarios"]
 
     def test_reregistration_shuts_down_stale_pool(self, scenario):
-        pool = get_pool(scenario, 2, "process")
+        pool = get_pool(scenario, 2)
         assert not pool.closed
         other = Scenario(_config(seed=7))
         register_scenario(other)
         assert pool.closed
-        fresh = get_pool(other, 2, "process")
+        fresh = get_pool(other, 2)
         assert fresh is not pool
-        assert fresh.key[2] == other.config.content_hash()
+        assert fresh.key[1] == other.config.content_hash()
 
     def test_same_key_returns_same_pool(self, scenario):
-        a = get_pool(scenario, 2, "process")
-        b = get_pool(scenario, 2, "process")
+        a = get_pool(scenario, 2)
+        b = get_pool(scenario, 2)
         assert a is b
         assert b.reuses == 1
-        c = get_pool(scenario, 2, "thread")
+        c = get_pool(scenario, 1)
         assert c is not a
         assert a.closed  # differing key replaced the singleton
 
     def test_closed_pool_refuses_work(self, scenario):
-        pool = get_pool(scenario, 2, "thread")
+        pool = get_pool(scenario, 2)
         pool.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
             pool.map_with_deltas(len, [[1]])
 
     def test_inline_mode_never_builds_a_pool(self, scenario):
-        with pytest.raises(ValueError, match="inline"):
-            get_pool(scenario, 2, "inline")
+        # jobs=1 runs inline; so does a single day at jobs=2.
+        registry = MetricsRegistry(enabled=True)
+        previous = set_metrics(registry)
+        try:
+            observed_days(scenario, "ixp", [40, 41], jobs=1)
+            observed_days(scenario, "ixp", [42], jobs=2)
+        finally:
+            set_metrics(previous)
+        assert registry.counter("pool.spawns") == 0
+        assert registry.counter("pool.tasks") == 3
         with pytest.raises(ValueError):
-            WorkerPool("inline", 2, scenario.config)
+            WorkerPool(0, scenario.config)
 
 
 class TestExecutorParity:
     def test_results_and_digest_identical_across_modes(self, scenario):
+        """Inline (jobs=1) and the process pool (jobs=2) agree exactly."""
         days = [40, 41, 42, 43]
         tables = {}
         digests = {}
-        for mode in EXECUTORS:
+        for jobs in (1, 2):
             registry = MetricsRegistry(enabled=True)
             previous = set_metrics(registry)
             try:
-                tables[mode] = observed_days(
-                    scenario, "ixp", days, jobs=2, executor=mode
-                )
+                tables[jobs] = observed_days(scenario, "ixp", days, jobs=jobs)
             finally:
                 set_metrics(previous)
             shutdown_pool()
-            digests[mode] = counter_digest(registry.counters)
+            digests[jobs] = counter_digest(registry.counters)
         assert len(set(digests.values())) == 1, digests
-        for mode in ("process", "thread"):
-            for a, b in zip(tables["inline"], tables[mode]):
-                assert _tables_equal(a, b), mode
+        for a, b in zip(tables[1], tables[2]):
+            assert _tables_equal(a, b)
 
     def test_digest_identical_across_batch_sizes(self, scenario):
         days = list(range(40, 46))
@@ -179,7 +157,7 @@ class TestExecutorParity:
             try:
                 counts = daily_port_counts(
                     scenario, "ixp", SELECTORS, days,
-                    jobs=2, executor="process", batch_days=batch,
+                    jobs=2, batch_days=batch,
                 )
             finally:
                 set_metrics(previous)
@@ -191,22 +169,11 @@ class TestExecutorParity:
                 assert counts == baseline
         assert len(set(digests.values())) == 1, digests
 
-    def test_thread_mode_records_no_transport_bytes(self, scenario):
-        registry = MetricsRegistry(enabled=True)
-        previous = set_metrics(registry)
-        try:
-            observed_days(scenario, "ixp", [40, 41, 42], jobs=2, executor="thread")
-        finally:
-            set_metrics(previous)
-        assert registry.counter("pool.pipe_bytes") == 0
-        assert registry.counter("shm.bytes") == 0
-        assert registry.counter("pool.tasks") == 3
-
     def test_inline_records_pool_counter_family(self, scenario):
         registry = MetricsRegistry(enabled=True)
         previous = set_metrics(registry)
         try:
-            observed_days(scenario, "ixp", [40, 41], jobs=2, executor="inline")
+            observed_days(scenario, "ixp", [40, 41], jobs=1)
         finally:
             set_metrics(previous)
         assert registry.counter("pool.tasks") == 2
@@ -223,16 +190,15 @@ class TestExecutorParity:
 
 
 class TestDayBatching:
-    def test_resolve_batch_auto_and_explicit(self, scenario):
-        pool = get_pool(scenario, 2, "thread")
+    def test_resolve_batch_auto_and_explicit(self):
         # Auto: about _OVERSUBSCRIBE batches per worker.
-        assert pool.resolve_batch(16, None) == 2
-        assert pool.resolve_batch(16, 0) == 2
-        assert pool.resolve_batch(3, None) == 1
+        assert resolve_batch(16, 2, None) == 2
+        assert resolve_batch(16, 2, 0) == 2
+        assert resolve_batch(3, 2, None) == 1
         # Explicit, clamped to the item count.
-        assert pool.resolve_batch(10, 4) == 4
-        assert pool.resolve_batch(2, 100) == 2
-        assert pool.resolve_batch(1, 0) == 1
+        assert resolve_batch(10, 2, 4) == 4
+        assert resolve_batch(2, 2, 100) == 2
+        assert resolve_batch(1, 2, 0) == 1
 
     def test_batching_collapses_dispatches(self, scenario):
         days = list(range(40, 46))
@@ -240,7 +206,7 @@ class TestDayBatching:
         previous = set_metrics(registry)
         try:
             observed_days(
-                scenario, "ixp", days, jobs=2, executor="process", batch_days=3
+                scenario, "ixp", days, jobs=2, batch_days=3
             )
         finally:
             set_metrics(previous)
@@ -256,7 +222,7 @@ class TestDayBatching:
             previous = set_metrics(registry)
             try:
                 day_attack_tables(
-                    scenario, days, jobs=2, executor="process",
+                    scenario, days, jobs=2,
                     batch_days=batch, cache=True,
                 )
             finally:
@@ -270,126 +236,25 @@ class TestDayBatching:
         assert per_batch[1] == per_batch[4] == len(days)
 
 
-class TestIntraDaySharding:
-    def test_shard_path_matches_unsharded_per_event_world(self):
-        config = _config(per_event_seeds=True)
-        whole = Scenario(config)
-        days = [40, 41]
-        expected = observed_days(whole, "ixp", days, jobs=1)
-
-        sharded_scenario = Scenario(config)
-        previous = set_execution_policy(day_shards=2)
-        registry = MetricsRegistry(enabled=True)
-        previous_reg = set_metrics(registry)
-        try:
-            # One missing day at a time (< jobs) engages the shard path.
-            got = [
-                observed_days(sharded_scenario, "ixp", [day], jobs=2)[0]
-                for day in days
-            ]
-        finally:
-            set_metrics(previous_reg)
-            set_execution_policy(previous)
-        assert registry.counter("pool.shard_tasks") == 2 * len(days)
-        for a, b in zip(expected, got):
-            assert _tables_equal(a, b)
-
-    def test_shard_digest_matches_unsharded(self):
-        config = _config(per_event_seeds=True)
-        digests = {}
-        for shards in (1, 3):
-            registry = MetricsRegistry(enabled=True)
-            previous_reg = set_metrics(registry)
-            previous = set_execution_policy(day_shards=shards)
-            try:
-                scenario = Scenario(config)
-                observed_days(scenario, "ixp", [40], jobs=2 if shards > 1 else 1)
-            finally:
-                set_execution_policy(previous)
-                set_metrics(previous_reg)
-            shutdown_pool()
-            digests[shards] = counter_digest(registry.counters)
-        assert digests[1] == digests[3]
-
-    def test_sharding_requires_per_event_seeds(self, scenario):
-        # Legacy seeding: the shard path never engages even when enabled.
-        previous = set_execution_policy(day_shards=4)
-        registry = MetricsRegistry(enabled=True)
-        previous_reg = set_metrics(registry)
-        try:
-            observed_days(scenario, "ixp", [40], jobs=2)
-        finally:
-            set_metrics(previous_reg)
-            set_execution_policy(previous)
-        assert registry.counter("pool.shard_tasks") == 0
-        with pytest.raises(ValueError, match="per_event_seeds"):
-            scenario.day_traffic_shard(40, 0, 2)
-
-    def test_per_event_seeds_changes_content_hash(self):
-        legacy = _config()
-        per_event = _config(per_event_seeds=True)
-        assert legacy.content_hash() != per_event.content_hash()
-
-
 class TestHypothesisTransportInvariance:
     @settings(
         max_examples=6, deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(
-        batch=st.integers(min_value=1, max_value=5),
-        shards=st.integers(min_value=1, max_value=4),
-    )
-    def test_batch_and_shard_counts_never_change_results(self, batch, shards):
-        """Transport knobs (batch size, shard count) are invisible in results
-        and in the scenario.* replay deltas."""
-        config = _config(per_event_seeds=True, n_days=46, takedown_day=43)
-        expected = Scenario(config).day_traffic(41)
-
-        shutdown_pool()
-        previous = set_execution_policy(
-            executor="thread", batch_days=batch, day_shards=shards
-        )
-        registry = MetricsRegistry(enabled=True)
-        previous_reg = set_metrics(registry)
-        try:
-            scenario = Scenario(config)
-            tables = observed_days(scenario, "ixp", [41], jobs=2)
-            reference = scenario.observe_day("ixp", expected)
-        finally:
-            set_metrics(previous_reg)
-            set_execution_policy(previous)
-            shutdown_pool()
-        assert _tables_equal(tables[0], reference)
-        assert registry.counter("scenario.days_generated") == 1.0
-        assert registry.counter("scenario.flows_synthesized") >= 1.0
-
-
-class TestThreadMetricsIsolation:
-    def test_thread_local_override_shadows_global(self):
-        base = MetricsRegistry(enabled=True)
-        previous = set_metrics(base)
-        try:
-            local = MetricsRegistry(enabled=True)
-            before = set_thread_metrics(local)
-            try:
-                metrics().inc("test.counter")
-            finally:
-                set_thread_metrics(before)
-            metrics().inc("test.other")
-        finally:
-            set_metrics(previous)
-        assert local.counter("test.counter") == 1
-        assert base.counter("test.counter") == 0
-        assert base.counter("test.other") == 1
-
-    def test_worker_threads_do_not_interleave_counters(self, scenario):
+    @given(batch=st.integers(min_value=1, max_value=5))
+    def test_batch_counts_never_change_results(self, scenario, batch):
+        """The batch size is invisible in pooled results and in the
+        scenario.* replay deltas."""
+        days = [40, 41, 42]
+        expected = observed_days(scenario, "ixp", days, jobs=1)
         registry = MetricsRegistry(enabled=True)
         previous = set_metrics(registry)
         try:
-            pairs = observed_days(scenario, "ixp", [40, 41, 42, 43], jobs=2, executor="thread")
+            tables = observed_days(scenario, "ixp", days, jobs=2, batch_days=batch)
         finally:
             set_metrics(previous)
-        assert len(pairs) == 4
-        # Four days of logical work, attributed exactly once each.
-        assert registry.counter("scenario.days_generated") == 4
+        for a, b in zip(expected, tables):
+            assert _tables_equal(a, b)
+        assert registry.gauges["pool.batch_size"] == min(batch, len(days))
+        assert registry.counter("scenario.days_generated") == len(days)
+        assert registry.counter("scenario.flows_synthesized") >= 1.0

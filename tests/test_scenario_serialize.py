@@ -81,3 +81,12 @@ class TestValidation:
     def test_invalid_values_still_validated(self):
         with pytest.raises(ValueError):
             config_from_dict({"scale": 0.0})
+
+    def test_legacy_per_event_seeds_field(self):
+        # Manifests written while per-event seeding existed carry the
+        # field; at False (the only world still drawn) they load as
+        # before, while True names a world that can no longer be drawn.
+        data = config_to_dict(custom_config())
+        assert config_from_dict({**data, "per_event_seeds": False}) == custom_config()
+        with pytest.raises(ValueError, match="unknown fields"):
+            config_from_dict({**data, "per_event_seeds": True})

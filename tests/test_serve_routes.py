@@ -3,7 +3,8 @@
 Three pillars:
 
 * **Byte determinism** — ``/v1/series/takedown`` answers with identical
-  bytes whichever executor computed it (inline/thread/process) and
+  bytes whether it was computed inline (``jobs=1``) or on the process
+  pool (``jobs=2``) and
   whichever tier served it (cold compute vs disk-warm), pinned against
   a committed golden digest like the experiment outputs are.
 * **Single-flight coalescing** — the acceptance property: 100 concurrent
@@ -37,7 +38,7 @@ from repro.experiments.base import ExperimentConfig
 from repro.obs import MetricsRegistry, metrics, use_metrics
 from repro.serve.routes import ServeContext, cached_payload_bytes
 from repro.serve.server import ObservatoryServer
-from repro.serve.service import ObservatoryService
+from repro.serve.service import ObservatoryService, canonical_json
 from repro.timeutil import date_of
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "serve_small.json"
@@ -46,8 +47,8 @@ GOLDEN_PATH = Path(__file__).parent / "goldens" / "serve_small.json"
 SERIES_QUERY = "/v1/series/takedown?start=2018-12-17&end=2018-12-21"
 
 
-def _config(executor: str = "inline", jobs: int = 1) -> ExperimentConfig:
-    return ExperimentConfig(preset="small", seed=2018, jobs=jobs, executor=executor)
+def _config(jobs: int = 1) -> ExperimentConfig:
+    return ExperimentConfig(preset="small", seed=2018, jobs=jobs)
 
 
 async def _http_get(port: int, path: str) -> tuple[int, bytes]:
@@ -111,11 +112,11 @@ class TestSeriesByteDeterminism:
         self, tmp_path, update_goldens
     ):
         payloads: dict[str, bytes] = {}
-        for executor, jobs in (("inline", 1), ("thread", 2), ("process", 2)):
+        for mode, jobs in (("inline", 1), ("process", 2)):
             day_cache().clear()
-            payloads[executor] = _fetch_series_bytes(_config(executor, jobs))
+            payloads[mode] = _fetch_series_bytes(_config(jobs))
 
-        assert payloads["inline"] == payloads["thread"] == payloads["process"]
+        assert payloads["inline"] == payloads["process"]
 
         # Cold vs disk-warm through the durable tier: fill the disk from
         # memory-cold, then drop memory so only disk can answer.
@@ -159,6 +160,50 @@ class TestSeriesByteDeterminism:
         assert analysis["window"] == 10
         assert isinstance(analysis["significant"], bool)
         assert 0.0 <= analysis["reduction_ratio"] <= 1.0
+
+
+class TestSeriesAnalysisUndefinedRatio:
+    """A before-window mean of zero leaves the reduction ratio undefined."""
+
+    def test_zero_before_window_serves_null_ratio(self, service):
+        days = list(range(70, 91))
+        takedown_day = 80
+        series = {
+            "silent_before": [0] * 10 + [0, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3],
+            "busy": [7, 9, 8, 6, 9, 7, 8, 9, 6, 8] + [2, 1, 3, 2, 1, 2, 3, 1, 2, 2, 1],
+        }
+        analysis = service._series_analysis(series, days, takedown_day, "10")
+        assert analysis["silent_before"]["reduction_ratio"] is None
+        assert isinstance(analysis["silent_before"]["significant"], bool)
+        assert 0.0 < analysis["busy"]["reduction_ratio"] < 1.0
+        # Still canonical: non-finite floats stay forbidden, null is fine.
+        decoded = json.loads(canonical_json(analysis))
+        assert decoded["silent_before"]["reduction_ratio"] is None
+
+    def test_tier1_window_route_answers_200(self, service):
+        # At seed 2018 the tier1 memcached_from counts are all zero in the
+        # ten days before the takedown.
+        query = (
+            "/v1/series/takedown?start=2018-12-09&end=2018-12-29"
+            "&window=10&vantage=tier1"
+        )
+
+        async def run() -> tuple[int, bytes]:
+            server = ObservatoryServer(service, compute_slots=1)
+            await server.start()
+            try:
+                return await _http_get(server.port, query)
+            finally:
+                await server.aclose()
+
+        status, body = asyncio.run(run())
+        assert status == 200, body
+        analysis = json.loads(body)["analysis"]
+        assert analysis["memcached_from"]["reduction_ratio"] is None
+        assert all(
+            entry["reduction_ratio"] is None or entry["reduction_ratio"] >= 0.0
+            for entry in analysis.values()
+        )
 
 
 class TestSingleFlightAcceptance:
