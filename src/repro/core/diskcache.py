@@ -1,6 +1,6 @@
 """Persistent on-disk tier for the day-result cache.
 
-The in-memory :class:`~repro.core.parallel.DayResultCache` dies with the
+The in-memory :class:`~repro.core.daycache.DayResultCache` dies with the
 process; re-running a 122-day campaign regenerates every day from
 scratch. This module adds the durable tier: each cached flow table is
 written as one file in the :mod:`repro.flows.binio` fixed-record format

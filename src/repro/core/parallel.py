@@ -1,4 +1,4 @@
-"""Parallel day-pipeline execution and a content-addressed day-result cache.
+"""Day products: one synthesis per day, every reduction derived from it.
 
 Every per-day random stream in the simulator is derived from the
 scenario's :class:`~repro.stats.rng.SeedSequenceTree` by *path* —
@@ -7,60 +7,75 @@ and so on — never by drawing from a shared generator. A day's traffic
 therefore does not depend on which days were generated before it, in
 which order, or in which process. This module exploits that:
 
-* each fan-out entry point (:func:`observed_days`,
-  :func:`daily_port_counts`, :func:`streaming_ingest`,
-  :func:`day_attack_tables`) reads what it can from the day cache, hands
-  the missing days to the one dispatch helper, :func:`_dispatch`, and
-  writes the fresh results back;
-* :func:`_dispatch` runs a module-level task ``task(scenario, item)``
-  either inline on the live scenario (``jobs=1``, or a single item) or
-  on the **persistent warm pool** owned by :mod:`repro.core.workerpool`,
-  spawned once per (jobs, config) and reused across all call sites, with
-  day batching; pool workers run the task on their own copy of the
-  world, rebuilt (or, under ``fork``, inherited) once per config
-  ``content_hash()``;
+* a consumer declares what it reads as a :class:`DayNeed`: one
+  reduction — the observed table, per-selector port counts, a one-day
+  streaming-analyzer clone, or the ground-truth attack table — of one
+  vantage over a day range;
+* a plan is a union of needs; it runs **one product task per distinct
+  ``(day, with_takedown)``** (:func:`_day_product`): synthesize the day
+  once, observe each needed vantage once (sharing the day's visibility
+  pair index), compute every requested reduction in place and ship back
+  only those;
+* products run through one dispatch helper, :func:`_dispatch` — inline
+  on the live scenario (``jobs=1``, or a single item) or on the
+  persistent warm pool of :mod:`repro.core.workerpool`, with day
+  batching — and land in the day cache on the way back;
+* :func:`run_plan` executes a run's whole union up front (the
+  experiment runner does this once, before the first experiment); the
+  fan-out entry points (:func:`observed_days`, :func:`daily_port_counts`,
+  :func:`streaming_ingest`, :func:`day_attack_tables`) are views that
+  read their need from the cache and plan only the days it lacks;
 * per-day results merge through order-independent reductions — series
-  arrays keyed by day, HyperLogLog register max, per-destination
-  max/sum — so ``jobs=1`` and ``jobs=N`` are **bit-identical**.
+  keyed by day, HyperLogLog register max, per-destination max/sum — so
+  ``jobs=1`` and ``jobs=N`` are **bit-identical**.
 
-:class:`DayResultCache` is a process-wide LRU keyed by
-``(kind, config content hash, takedown, vantage, day, with_takedown)``.
-Experiments sharing day ranges (fig2b/fig2c/landscape, fig5 after fig2,
-victimization after honeypot) reuse each other's per-day work within a
-``repro-experiments`` run instead of regenerating the same days.
+Logical counters (``scenario.*``, ``streaming.*``) describe the dataset
+a consumer processed, not the physical work a strategy happened to run.
+A product therefore carries, per reduction, the logical deltas of the
+stages it derives from (synthesis, that vantage's observation, the
+reduction) and records none itself; every consumer replays the deltas
+of what it reads, from the cache or fresh. Per-experiment counters and
+the run digest are thereby identical for any ``jobs``, cache state or
+plan. The physical ``parallel.days_synthesized`` and
+``parallel.distinct_days`` counters show how many syntheses ran for how
+many distinct days.
+
+Products land in the process-wide :class:`DayResultCache`
+(:mod:`repro.core.daycache`, re-exported here) under ``(kind, config
+content hash, takedown, vantage, day, with_takedown, extra)``, ``extra``
+being the selector or analyzer fingerprint.
 """
 
 from __future__ import annotations
 
 import os
-import sys
-import threading
 import time
-from collections import OrderedDict
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from repro.booter.takedown import TakedownScenario
+from repro.core.daycache import DayResultCache, day_cache
 from repro.core.workerpool import (
-    REPLAY_PREFIX as _REPLAY_PREFIX,
     get_pool,
     record_inline_pool,
     register_scenario,
     resolve_batch,
     scenario_for,
 )
-from repro.flows.records import FlowTable, SCHEMA
-from repro.obs import MetricsRegistry, metrics
+from repro.flows.records import FlowTable
+from repro.obs import metrics
+from repro.obs.runledger import DETERMINISTIC_PREFIXES
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.scenario import Scenario
 
 __all__ = [
+    "DayNeed",
     "DayResultCache",
     "day_cache",
     "resolve_jobs",
     "register_scenario",
+    "run_plan",
     "daily_port_counts",
     "observed_days",
     "streaming_ingest",
@@ -68,37 +83,131 @@ __all__ = [
     "day_attack_tables",
 ]
 
-
-# -- day tasks (module-level: must pickle) -------------------------------------
-
-
-def _observed(scenario: Scenario, day: int, vantage: str, with_takedown: bool) -> FlowTable:
-    traffic = scenario.day_traffic(day, with_takedown=with_takedown)
-    return scenario.observe_day(vantage, traffic)
+#: What a product task can derive from one vantage's view of a day.
+REDUCTIONS = ("observed", "ports", "stream", "attack")
 
 
-def _port_counts(
-    scenario: Scenario,
-    day: int,
-    vantage: str,
-    with_takedown: bool,
-    selectors: Sequence[Any],
-) -> dict[str, int]:
-    observed = _observed(scenario, day, vantage, with_takedown)
-    return {s.name: s.packets(observed) for s in selectors}
+@dataclass(frozen=True)
+class DayNeed:
+    """What one consumer reads: one reduction of each day in ``days``.
+
+    ``reduction`` is ``"observed"`` (the vantage's observed table),
+    ``"ports"`` (per-selector packet counts of it, over ``selectors``),
+    ``"stream"`` (a clone of ``analyzer`` that ingested just that day;
+    the analyzer implements ``clone_empty()``, ``merge()`` and
+    ``fingerprint()``) or ``"attack"`` (the ground-truth attack table;
+    ``vantage`` is ``None``).
+    """
+
+    reduction: str
+    vantage: str | None
+    days: tuple[int, ...]
+    with_takedown: bool = True
+    selectors: tuple = ()
+    analyzer: Any = None
+
+    def __post_init__(self) -> None:
+        if self.reduction not in REDUCTIONS:
+            raise ValueError(f"unknown reduction {self.reduction!r} (have {REDUCTIONS})")
+        object.__setattr__(self, "days", tuple(int(d) for d in self.days))
+        object.__setattr__(self, "selectors", tuple(self.selectors))
+
+    @property
+    def day_range(self) -> tuple[int, int]:
+        """The half-open range of a contiguous ``days``."""
+        return self.days[0], self.days[-1] + 1
+
+    @property
+    def part(self) -> tuple[str, str | None, Any]:
+        """What the product task computes for this need on each day."""
+        arg = self.selectors if self.reduction == "ports" else self.analyzer
+        return self.reduction, self.vantage, arg
+
+    @property
+    def ident(self) -> tuple[str, str | None, Any]:
+        """The need's cache identity: ``(kind, vantage, fingerprint)``."""
+        extra = None
+        if self.reduction == "ports":
+            extra = tuple((s.name, s.port, s.direction) for s in self.selectors)
+        elif self.reduction == "stream":
+            extra = self.analyzer.fingerprint()
+        return self.reduction, self.vantage, extra
 
 
-def _attack_table(scenario: Scenario, day: int, with_takedown: bool) -> FlowTable:
-    return scenario.day_traffic(day, with_takedown=with_takedown).attack
+# -- the product task (module-level: must pickle) ------------------------------
 
 
-def _ingest_chunk(
-    scenario: Scenario, chunk: tuple[tuple[int, ...], Any], vantage: str, with_takedown: bool
-) -> Any:
-    days, analyzer = chunk
-    for day in days:
-        analyzer.ingest_day(day, _observed(scenario, day, vantage, with_takedown))
-    return analyzer
+def _logical(fn: Callable[..., Any], *args: Any) -> tuple[Any, dict[str, float] | None]:
+    """``fn(*args)`` with the logical counters it recorded, taken aside.
+
+    Everything else ``fn`` records — spans, trace events, physical
+    counters — stays in the active registry; the logical (digested)
+    counters are taken back out and returned, for consumers to replay.
+    ``None`` when the registry is off.
+    """
+    registry = metrics()
+    if not registry.enabled:
+        return fn(*args), None
+    counters = registry.counters
+    before = {n: v for n, v in counters.items() if n.startswith(DETERMINISTIC_PREFIXES)}
+    result = fn(*args)
+    deltas = {}
+    for name in [n for n in counters if n.startswith(DETERMINISTIC_PREFIXES)]:
+        if counters[name] != before.get(name, 0):
+            deltas[name] = counters[name] - before.get(name, 0)
+            if name in before:
+                counters[name] = before[name]
+            else:
+                del counters[name]
+    return result, deltas
+
+
+def _sum_deltas(*deltas: dict[str, float] | None) -> dict[str, float] | None:
+    if any(d is None for d in deltas):
+        return None
+    total: dict[str, float] = {}
+    for part in deltas:
+        for name, value in part.items():
+            total[name] = total.get(name, 0) + value
+    return total
+
+
+def _reduce(part: tuple[str, str | None, Any], day: int, table: FlowTable) -> Any:
+    """One need's value for ``day``, from the vantage's observed table."""
+    reduction, _, arg = part
+    if reduction == "ports":
+        return {s.name: s.packets(table) for s in arg}
+    if reduction == "stream":
+        clone = arg.clone_empty()
+        clone.ingest_day(day, table)
+        return clone
+    return table
+
+
+def _day_product(scenario: Scenario, item: tuple) -> tuple:
+    """The product task: every part a plan asked of one day.
+
+    ``item`` is ``(day, with_takedown, parts)``. The day is synthesized
+    once and each vantage observed once; the result holds one ``(value,
+    deltas)`` per part, in order, ``deltas`` being the logical counters
+    of the stages that value derives from.
+    """
+    day, with_takedown, parts = item
+    metrics().inc("parallel.days_synthesized")
+    traffic, synthesized = _logical(scenario.day_traffic, day, with_takedown)
+    views: dict[str, tuple[FlowTable, dict[str, float] | None]] = {}
+    product = []
+    for part in parts:
+        vantage = part[1]
+        if part[0] == "attack":
+            product.append((traffic.attack, synthesized))
+            continue
+        if vantage not in views:
+            views[vantage] = _logical(scenario.observe_day, vantage, traffic)
+        table, observed = views[vantage]
+        value, reduced = _logical(_reduce, part, day, table)
+        product.append((value, _sum_deltas(synthesized, observed, reduced)))
+    return tuple(product)
 
 
 def _on_worker(
@@ -150,266 +259,75 @@ def _use_pool(jobs: int | None, n_items: int) -> bool:
     return resolve_jobs(jobs) > 1 and n_items > 1
 
 
+#: Auto-batching cap: a batch's products (observed tables included)
+#: wait in the worker until the whole batch is done, so bounding the
+#: batch bounds what a worker holds at once.
+PLAN_BATCH_DAYS = 3
+
+
 def _dispatch(
     scenario: Scenario,
     task: Callable[[Scenario, Any], Any],
     items: Sequence[Any],
     jobs: int | None,
     batch_days: int = 0,
-) -> Iterator[tuple[Any, Any, dict[str, float] | None]]:
-    """Yield ``(item, task(scenario, item), deltas)`` for every item, in order.
+) -> Iterator[tuple[Any, Any]]:
+    """Yield ``(item, task(scenario, item))`` for every item, in order.
 
-    The one dispatch path of the fan-out entry points. ``deltas`` are
-    the ``scenario.*`` counter deltas the task recorded (``None`` when
-    the registry is off) — what the cache stores so a later hit can
-    replay them (see :func:`_cache_get`). Pooled fans go to
-    :func:`repro.core.workerpool.get_pool` with ``batch_days`` items per
-    task (0 = auto). Inline fans run lazily, one item per step, on the
-    live scenario — so a caller that drops each result before the next
-    never holds the whole range — and, once exhausted, record the same
-    ``pool.*`` counter family with one worker, keeping ``--jobs 1``
+    Pooled fans go to :func:`repro.core.workerpool.get_pool` with
+    ``batch_days`` items per task (0 = auto, at most
+    :data:`PLAN_BATCH_DAYS`). Inline fans run lazily, one item per step,
+    on the live scenario — so a caller that drops each result before the
+    next never holds the whole range — and, once exhausted, record the
+    same ``pool.*`` counter family with one worker, keeping ``--jobs 1``
     profiles comparable with pooled runs.
     """
     if _use_pool(jobs, len(items)):
+        workers = resolve_jobs(jobs)
         remote = partial(_on_worker, task, scenario.config, scenario.takedown)
-        pool = get_pool(scenario, resolve_jobs(jobs))
-        pairs = pool.map_with_deltas(remote, items, batch=batch_days or None)
-        for item, (result, deltas) in zip(items, pairs):
-            yield item, result, deltas
+        batch = batch_days or min(PLAN_BATCH_DAYS, resolve_batch(len(items), workers, 0))
+        pairs = get_pool(scenario, workers).map_with_deltas(remote, items, batch=batch)
+        for item, (result, _) in zip(items, pairs):
+            yield item, result
         return
     registry = metrics()
     start = time.perf_counter()
     for item in items:
-        before = _counters_snapshot(registry)
-        result = task(scenario, item)
-        yield item, result, _counters_delta(registry, before)
+        yield item, task(scenario, item)
     record_inline_pool(registry, len(items), time.perf_counter() - start)
 
 
-# -- the day-result cache ------------------------------------------------------
-
-# The replayed counter family (``scenario.*``) is defined in
-# :mod:`repro.core.workerpool` (imported above as ``_REPLAY_PREFIX``):
-# logical work counters describe the dataset an experiment processed, not
-# the physical generations the strategy happened to run, so serving a day
-# from the cache must count the same as regenerating it. That is what
-# keeps them identical across ``jobs``/``cache`` strategies.
+# -- cache access and counter replay -----------------------------------------
 
 
-def _counters_snapshot(registry: MetricsRegistry) -> dict[str, float] | None:
-    if not registry.enabled:
-        return None
-    return {
-        name: value
-        for name, value in registry.counters.items()
-        if name.startswith(_REPLAY_PREFIX)
-    }
+def _replay(deltas: dict[str, float] | None) -> None:
+    """Record a consumed value's logical counters in the active registry.
 
-
-def _counters_delta(
-    registry: MetricsRegistry, before: dict[str, float] | None
-) -> dict[str, float] | None:
-    if before is None:
-        return None
-    return {
-        name: value - before.get(name, 0)
-        for name, value in registry.counters.items()
-        if name.startswith(_REPLAY_PREFIX) and value != before.get(name, 0)
-    }
+    Entries computed while the registry was disabled carry no deltas and
+    replay nothing — within one runner invocation the enabled state is
+    constant, so exports stay strategy-independent.
+    """
+    registry = metrics()
+    if registry.enabled and deltas:
+        for name, amount in deltas.items():
+            registry.inc(name, amount)
 
 
 def _cache_put(key: tuple, value: Any, deltas: dict[str, float] | None) -> None:
-    """Cache a day result together with the scenario counters it recorded."""
-    _DAY_CACHE.put(key, (value, deltas))
+    """Cache a day result together with the logical counters it carries."""
+    day_cache().put(key, (value, deltas))
 
 
 def _cache_get(key: tuple) -> tuple[Any, dict[str, float] | None] | None:
     """A cached ``(value, deltas)`` entry, replaying the deltas.
 
     Replay makes a hit indistinguishable from regeneration as far as the
-    ``scenario.*`` counters are concerned. Entries cached while the
-    registry was disabled carry no deltas and replay nothing — within one
-    runner invocation the enabled state is constant, so exports stay
-    strategy-independent.
+    logical counters are concerned.
     """
-    entry = _DAY_CACHE.get(key)
-    if entry is None:
-        return None
-    value, deltas = entry
-    registry = metrics()
-    if registry.enabled and deltas:
-        for name, amount in deltas.items():
-            registry.inc(name, amount)
-    return value, deltas
-
-
-def _approx_nbytes(value: Any) -> int:
-    """Best-effort size estimate of a cached value, in bytes.
-
-    Exact for flow tables and numpy arrays (column buffer sizes),
-    recursive for the containers the pipeline caches (count dicts,
-    event lists), ``sys.getsizeof`` for everything else.
-    """
-    if isinstance(value, FlowTable):
-        return int(sum(value[name].nbytes for name in SCHEMA))
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    if isinstance(value, dict):
-        return sum(_approx_nbytes(v) for v in value.values()) + sys.getsizeof(value)
-    if isinstance(value, (list, tuple)):
-        return sum(_approx_nbytes(v) for v in value) + sys.getsizeof(value)
-    return sys.getsizeof(value)
-
-
-class DayResultCache:
-    """Bounded LRU cache of per-day results, content-addressed by config.
-
-    Values are whatever the pipeline helpers store per day: observed
-    flow tables, per-selector packet counts, ground-truth event lists or
-    attack tables. Keys embed the scenario config's ``content_hash()``
-    (seed included) and the takedown scenario, so two different worlds
-    never collide and two identically-configured scenarios share.
-
-    Every lookup and insert also feeds the active metrics registry
-    (``cache.hits`` / ``cache.misses`` / ``cache.evictions`` /
-    ``cache.bytes_stored`` and the ``cache.resident_bytes`` gauge).
-
-    An optional durable tier (:class:`repro.core.diskcache.DiskDayCache`)
-    can be attached with :meth:`attach_disk`: memory misses then consult
-    the disk store (a hit is promoted back into memory without being
-    rewritten to disk), and inserts write through. Flow tables evicted
-    from the memory LRU remain reachable on disk.
-
-    The cache is thread-safe: the serving plane resolves requests in
-    ``asyncio.to_thread`` workers (several at once under
-    ``--compute-slots``), and each resolver reads and inserts day
-    results, so every mutation of the LRU (and the paired size/counter
-    bookkeeping) happens under one re-entrant lock. OrderedDict mutation
-    is *not* atomic under concurrent ``move_to_end``/``popitem`` —
-    unlocked, a race corrupts the linked list or loses
-    ``resident_bytes`` accounting.
-    """
-
-    def __init__(self, max_entries: int = 4096) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._data: OrderedDict[tuple, Any] = OrderedDict()
-        self._sizes: dict[tuple, int] = {}
-        self._lock = threading.RLock()
-        self.disk = None
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.resident_bytes = 0
-
-    def attach_disk(self, disk: Any | None) -> None:
-        """Attach (or, with ``None``, detach) a durable second tier.
-
-        The disk object only needs the cache protocol: ``get(key)``
-        returning a stored value or ``None``, ``put(key, value)``, and
-        ``stats()``.
-        """
-        with self._lock:
-            self.disk = disk
-
-    def get(self, key: tuple) -> Any | None:
-        """The cached value for ``key``, or ``None`` (counts hit/miss).
-
-        On a memory miss the disk tier (if attached) gets a chance; a
-        disk hit counts as a memory miss *and* a disk hit, and the value
-        is promoted into the memory LRU for subsequent lookups.
-        """
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                metrics().inc("cache.misses")
-                if self.disk is not None:
-                    value = self.disk.get(key)
-                    if value is not None:
-                        self._insert(key, value, write_disk=False)
-                        return value
-                return None
-            self._data.move_to_end(key)
-            self.hits += 1
-            metrics().inc("cache.hits")
-            return value
-
-    def put(self, key: tuple, value: Any) -> None:
-        """Insert (or refresh) an entry, evicting the least recently used.
-
-        Writes through to the disk tier when one is attached (the disk
-        store itself declines values it cannot persist exactly).
-        """
-        self._insert(key, value, write_disk=True)
-
-    def _insert(self, key: tuple, value: Any, write_disk: bool) -> None:
-        registry = metrics()
-        size = _approx_nbytes(value)
-        with self._lock:
-            if key in self._sizes:
-                self.resident_bytes -= self._sizes[key]
-            self._data[key] = value
-            self._sizes[key] = size
-            self.resident_bytes += size
-            self._data.move_to_end(key)
-            if registry.enabled:
-                registry.inc("cache.puts")
-                registry.inc("cache.bytes_stored", size)
-            while len(self._data) > self.max_entries:
-                evicted_key, _ = self._data.popitem(last=False)
-                self.resident_bytes -= self._sizes.pop(evicted_key, 0)
-                self.evictions += 1
-                registry.inc("cache.evictions")
-            if registry.enabled:
-                registry.gauge("cache.resident_bytes", self.resident_bytes)
-            if write_disk and self.disk is not None:
-                self.disk.put(key, value)
-
-    def clear(self) -> None:
-        """Drop all in-memory entries and reset every counter.
-
-        The disk tier, if attached, is left untouched — clearing memory
-        is how a disk-warm run proves the durable tier alone can serve
-        the campaign.
-        """
-        with self._lock:
-            self._data.clear()
-            self._sizes.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.resident_bytes = 0
-
-    def stats(self) -> dict[str, Any]:
-        """Counters for reporting: entries, hits, misses, evictions, bytes.
-
-        With a disk tier attached, its counters nest under ``"disk"``.
-        """
-        with self._lock:
-            stats: dict[str, Any] = {
-                "entries": len(self._data),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "resident_bytes": self.resident_bytes,
-            }
-            if self.disk is not None:
-                stats["disk"] = self.disk.stats()
-            return stats
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-_DAY_CACHE = DayResultCache()
-
-
-def day_cache() -> DayResultCache:
-    """The process-wide day-result cache singleton."""
-    return _DAY_CACHE
+    entry = day_cache().get(key)
+    if entry is not None:
+        _replay(entry[1])
+    return entry
 
 
 def _context(scenario: Scenario) -> tuple[str, TakedownScenario]:
@@ -430,29 +348,113 @@ def _key(
     return (kind, config_hash, repr(takedown), vantage, int(day), bool(with_takedown), extra)
 
 
-def _cache_split(
-    days: list[int], key_of: Callable[[int], tuple], cache: bool
-) -> tuple[dict[int, Any], list[int]]:
-    """The cache-read prelude: ``days`` split into cached values and misses.
+def _need_key(
+    context: tuple[str, TakedownScenario], ident: tuple, day: int, with_takedown: bool
+) -> tuple:
+    kind, vantage, extra = ident
+    return _key(kind, *context, vantage, day, with_takedown, extra)
 
-    Hits replay their recorded deltas (see :func:`_cache_get`); with
-    ``cache`` off every day misses. The misses are what the caller
-    dispatches, and are counted as ``parallel.days_dispatched``.
+
+# -- plans ---------------------------------------------------------------------
+
+
+def _execute(
+    scenario: Scenario,
+    needs: Iterable[DayNeed],
+    jobs: int,
+    cache: bool,
+    batch_days: int,
+) -> Iterator[tuple[tuple, int, Any, dict[str, float] | None]]:
+    """Run the union of ``needs``: one product task per (day, with_takedown).
+
+    Yields ``(ident, day, value, deltas)`` for every need part of every
+    planned day, storing each cacheable one when ``cache`` is on. Yields
+    replay nothing: consumers replay what they read.
     """
-    hits: dict[int, Any] = {}
+    plan: dict[tuple[int, bool], dict[tuple, tuple]] = {}
+    for need in needs:
+        ident, part = need.ident, need.part
+        for day in need.days:
+            plan.setdefault((day, need.with_takedown), {})[ident] = part
+    if not plan:
+        return
+    context = _context(scenario)
+    metrics().inc(
+        "parallel.distinct_days",
+        day_cache().note_syntheses(_need_key(context, ("day", None, None), *slot) for slot in plan),
+    )
+    items = [(day, wt, tuple(parts.values())) for (day, wt), parts in sorted(plan.items())]
+    for (day, wt, _), product in _dispatch(scenario, _day_product, items, jobs, batch_days):
+        for ident, (value, deltas) in zip(plan[day, wt], product):
+            if cache:
+                _cache_put(_need_key(context, ident, day, wt), value, deltas)
+            yield ident, day, value, deltas
+
+
+def run_plan(
+    scenario: Scenario,
+    needs: Iterable[DayNeed],
+    jobs: int = 1,
+    batch_days: int = 0,
+) -> None:
+    """Compute and cache every day of ``needs`` the day cache lacks.
+
+    The union runs as one plan, so each ``(day, with_takedown)`` any need
+    still lacks is synthesized once, whatever vantages and reductions
+    read it. Lookups here replay nothing; the consumers' views do.
+    """
+    with metrics().span("parallel.run_plan"):
+        context = _context(scenario)
+        pending = []
+        for need in needs:
+            ident = need.ident
+            days = [
+                day
+                for day in need.days
+                if day_cache().get(_need_key(context, ident, day, need.with_takedown)) is None
+            ]
+            if days:
+                pending.append(replace(need, days=days))
+        for _ in _execute(scenario, pending, jobs, True, batch_days):
+            pass
+
+
+def _view(
+    scenario: Scenario, need: DayNeed, jobs: int, cache: bool, batch_days: int
+) -> dict[int, Any]:
+    """``need``'s value per day, replaying the deltas of each value read.
+
+    With the cache on, a day is served from its cached value, else (port
+    counts and streams) reduced from the vantage's cached observed table,
+    else planned; the planned days run as one :func:`_execute` pass.
+    """
+    ident, context = need.ident, _context(scenario)
+    observed = ("observed", need.vantage, None)
+    values: dict[int, Any] = {}
     missing: list[int] = []
-    for day in days:
-        hit = _cache_get(key_of(day)) if cache else None
+    for day in need.days:
+        key = _need_key(context, ident, day, need.with_takedown)
+        hit = _cache_get(key) if cache else None
+        if hit is None and cache and need.reduction in ("ports", "stream"):
+            table = _cache_get(_need_key(context, observed, day, need.with_takedown))
+            if table is not None:
+                value, reduced = _logical(_reduce, need.part, day, table[0])
+                _replay(reduced)
+                hit = value, _sum_deltas(table[1], reduced)
+                _cache_put(key, *hit)
         if hit is None:
             missing.append(day)
         else:
-            hits[day] = hit[0]
+            values[day] = hit[0]
     if missing:
-        metrics().inc("parallel.days_dispatched", len(missing))
-    return hits, missing
+        fresh = _execute(scenario, [replace(need, days=missing)], jobs, cache, batch_days)
+        for _, day, value, deltas in fresh:
+            _replay(deltas)
+            values[day] = value
+    return values
 
 
-# -- public day-pipeline helpers ----------------------------------------------
+# -- the fan-out views ----------------------------------------------------------
 
 
 def observed_days(
@@ -464,26 +466,11 @@ def observed_days(
     cache: bool = False,
     batch_days: int = 0,
 ) -> list[FlowTable]:
-    """One observed flow table per day, in ``days`` order.
-
-    Cached days are returned immediately; the rest run through
-    :func:`_dispatch` (``jobs`` workers, ``batch_days`` days per pool
-    task, 0 = auto) and are cached on the way back.
-    """
+    """One observed flow table per day, in ``days`` order."""
     with metrics().span("parallel.observed_days"):
-        days = [int(d) for d in days]
-        config_hash, takedown = _context(scenario)
-
-        def key(day: int) -> tuple:
-            return _key("observed", config_hash, takedown, vantage, day, with_takedown)
-
-        results, missing = _cache_split(days, key, cache)
-        task = partial(_observed, vantage=vantage, with_takedown=with_takedown)
-        for day, table, deltas in _dispatch(scenario, task, missing, jobs, batch_days):
-            results[day] = table
-            if cache:
-                _cache_put(key(day), table, deltas)
-        return [results[day] for day in days]
+        need = DayNeed("observed", vantage, days, with_takedown)
+        values = _view(scenario, need, jobs, cache, batch_days)
+        return [values[day] for day in need.days]
 
 
 def daily_port_counts(
@@ -498,58 +485,13 @@ def daily_port_counts(
 ) -> dict[int, dict[str, int]]:
     """Per-day packet counts per selector, keyed by day.
 
-    With the cache enabled, a day is served from its cached counts,
-    derived from a cached observed table if one exists, or regenerated.
-    Pool workers ship back only the reduced counts (never flow tables);
-    inline runs reduce in the parent and also cache the observed table,
-    so later experiments over the same days (any reduction) reuse it.
+    Workers reduce in place and ship back only the counts, never the
+    observed tables.
     """
     with metrics().span("parallel.daily_port_counts"):
-        selectors = list(selectors)
-        fingerprint = tuple((s.name, s.port, s.direction) for s in selectors)
-        config_hash, takedown = _context(scenario)
-
-        def observed_key(day: int) -> tuple:
-            return _key("observed", config_hash, takedown, vantage, day, with_takedown)
-
-        def ports_key(day: int) -> tuple:
-            return _key("ports", config_hash, takedown, vantage, day, with_takedown, fingerprint)
-
-        def reduce(observed: FlowTable) -> dict[str, int]:
-            return {s.name: s.packets(observed) for s in selectors}
-
-        counts: dict[int, dict[str, int]] = {}
-        missing: list[int] = []
-        for day in [int(d) for d in days]:
-            if cache:
-                hit = _cache_get(ports_key(day))
-                if hit is not None:
-                    counts[day] = hit[0]
-                    continue
-                hit = _cache_get(observed_key(day))
-                if hit is not None:
-                    observed, deltas = hit
-                    counts[day] = reduce(observed)
-                    _cache_put(ports_key(day), counts[day], deltas)
-                    continue
-            missing.append(day)
-        if missing:
-            metrics().inc("parallel.days_dispatched", len(missing))
-        pooled = _use_pool(jobs, len(missing))
-        task = partial(_observed, vantage=vantage, with_takedown=with_takedown)
-        if pooled:
-            task = partial(
-                _port_counts, vantage=vantage, with_takedown=with_takedown, selectors=selectors
-            )
-        for day, value, deltas in _dispatch(scenario, task, missing, jobs, batch_days):
-            if not pooled:
-                if cache:
-                    _cache_put(observed_key(day), value, deltas)
-                value = reduce(value)
-            counts[day] = value
-            if cache:
-                _cache_put(ports_key(day), value, deltas)
-        return counts
+        need = DayNeed("ports", vantage, days, with_takedown, selectors=selectors)
+        values = _view(scenario, need, jobs, cache, batch_days)
+        return {day: values[day] for day in need.days}
 
 
 def streaming_ingest(
@@ -562,51 +504,25 @@ def streaming_ingest(
     cache: bool = False,
     batch_days: int = 0,
 ) -> Any:
-    """Feed ``days`` through ``analyzer``, optionally over the pool.
+    """Fold ``days`` into ``analyzer`` through one-day clones.
 
-    Cached observed days are ingested directly in the parent. Inline,
-    the remaining days are observed, cached and ingested one at a time.
-    Pooled, the analyzer must implement the merge protocol
-    (``clone_empty()`` + ``merge(other)``): days are pre-chunked to
-    ``batch_days`` per clone (auto-sized by default), each pool task
-    ingests one chunk into its clone, and the clones fold back
-    order-independently.
+    The analyzer must implement the merge protocol (``clone_empty()`` +
+    ``merge(other)``, plus ``fingerprint()`` to key its clones in the
+    day cache): each day's product ingests the day into an empty clone,
+    and the clones fold back order-independently, bit-identical to
+    ingesting the days one by one.
     """
     with metrics().span("parallel.streaming_ingest"):
-        days = [int(d) for d in days]
-        config_hash, takedown = _context(scenario)
-
-        def key(day: int) -> tuple:
-            return _key("observed", config_hash, takedown, vantage, day, with_takedown)
-
-        cached, pending = _cache_split(days, key, cache)
-        for day, observed in cached.items():
-            analyzer.ingest_day(day, observed)
-        pooled = _use_pool(jobs, len(pending))
-        items: list[Any] = pending
-        task = partial(_observed, vantage=vantage, with_takedown=with_takedown)
-        if pooled:
-            if not (hasattr(analyzer, "clone_empty") and hasattr(analyzer, "merge")):
-                raise TypeError(
-                    "parallel collect_streaming needs an analyzer with the merge "
-                    "protocol (clone_empty() and merge()); got "
-                    f"{type(analyzer).__name__}"
-                )
-            size = resolve_batch(len(pending), resolve_jobs(jobs), batch_days)
-            items = [
-                (tuple(pending[i : i + size]), analyzer.clone_empty())
-                for i in range(0, len(pending), size)
-            ]
-            task = partial(_ingest_chunk, vantage=vantage, with_takedown=with_takedown)
-        # A pooled item is already a chunk of days sharing one analyzer
-        # clone, so the pool maps the chunks unbatched (batch=1).
-        for item, value, deltas in _dispatch(scenario, task, items, jobs, batch_days=1):
-            if pooled:
-                analyzer.merge(value)
-                continue
-            if cache:
-                _cache_put(key(item), value, deltas)
-            analyzer.ingest_day(item, value)
+        if not all(hasattr(analyzer, m) for m in ("clone_empty", "merge", "fingerprint")):
+            raise TypeError(
+                "streaming_ingest needs an analyzer with the merge protocol "
+                "(clone_empty(), merge() and fingerprint()); got "
+                f"{type(analyzer).__name__}"
+            )
+        need = DayNeed("stream", vantage, days, with_takedown, analyzer=analyzer.clone_empty())
+        values = _view(scenario, need, jobs, cache, batch_days)
+        for day in need.days:
+            analyzer.merge(values[day])
         return analyzer
 
 
@@ -617,17 +533,15 @@ def day_events(
     cache: bool = False,
 ) -> list:
     """Ground-truth attack events for ``day`` (cached; no flow synthesis)."""
-    config_hash, takedown = _context(scenario)
-    key = _key("events", config_hash, takedown, None, day, with_takedown)
+    key = _key("events", *_context(scenario), None, day, with_takedown)
     if cache:
         hit = _cache_get(key)
         if hit is not None:
             return hit[0]
-    registry = metrics()
-    before = _counters_snapshot(registry)
-    events = scenario.day_events(day, with_takedown=with_takedown)
+    events, deltas = _logical(scenario.day_events, day, with_takedown)
+    _replay(deltas)
     if cache:
-        _cache_put(key, events, _counters_delta(registry, before))
+        _cache_put(key, events, deltas)
     return events
 
 
@@ -641,16 +555,6 @@ def day_attack_tables(
 ) -> list[FlowTable]:
     """Ground-truth attack flow tables per day, in ``days`` order."""
     with metrics().span("parallel.day_attack_tables"):
-        days = [int(d) for d in days]
-        config_hash, takedown = _context(scenario)
-
-        def key(day: int) -> tuple:
-            return _key("attack", config_hash, takedown, None, day, with_takedown)
-
-        results, missing = _cache_split(days, key, cache)
-        task = partial(_attack_table, with_takedown=with_takedown)
-        for day, table, deltas in _dispatch(scenario, task, missing, jobs, batch_days):
-            results[day] = table
-            if cache:
-                _cache_put(key(day), table, deltas)
-        return [results[day] for day in days]
+        need = DayNeed("attack", None, days, with_takedown)
+        values = _view(scenario, need, jobs, cache, batch_days)
+        return [values[day] for day in need.days]

@@ -121,50 +121,38 @@ def collect_daily_port_series(
         trace_args={"vantage": vantage, "day_start": int(start), "day_end": int(end)},
     ):
         metrics().inc("pipeline.days_processed", int(days.size))
-        if jobs != 1 or cache:
-            from repro.core.parallel import daily_port_counts, observed_days, resolve_jobs
+        from repro.core.parallel import daily_port_counts, observed_days, resolve_jobs
 
-            if per_day_hook is not None:
-                if resolve_jobs(jobs) > 1:
-                    hook_name = (
-                        getattr(per_day_hook, "__qualname__", None) or repr(per_day_hook)
-                    )
-                    raise ValueError(
-                        f"collect_daily_port_series(per_day_hook={hook_name}, "
-                        f"jobs={jobs}) is invalid: per-day hooks cannot be "
-                        f"shipped to worker processes, so per_day_hook "
-                        f"requires jobs=1"
-                    )
-                for i, day in enumerate(days):
-                    observed = observed_days(
-                        scenario, vantage, [int(day)], with_takedown, jobs=1, cache=cache
-                    )[0]
-                    for selector in selectors:
-                        out[selector.name][i] = selector.packets(observed)
-                    per_day_hook(int(day), observed)
-            else:
-                counts = daily_port_counts(
-                    scenario,
-                    vantage,
-                    selectors,
-                    [int(d) for d in days],
-                    with_takedown,
-                    jobs=jobs,
-                    cache=cache,
-                    batch_days=batch_days,
-                )
-                for i, day in enumerate(days):
-                    for selector in selectors:
-                        out[selector.name][i] = counts[int(day)][selector.name]
+        if per_day_hook is None:
+            counts = daily_port_counts(
+                scenario,
+                vantage,
+                selectors,
+                [int(d) for d in days],
+                with_takedown,
+                jobs=jobs,
+                cache=cache,
+                batch_days=batch_days,
+            )
+            for i, day in enumerate(days):
+                for selector in selectors:
+                    out[selector.name][i] = counts[int(day)][selector.name]
             return DailyPortSeries(days=days, series=out)
-
+        if resolve_jobs(jobs) > 1:
+            hook_name = getattr(per_day_hook, "__qualname__", None) or repr(per_day_hook)
+            raise ValueError(
+                f"collect_daily_port_series(per_day_hook={hook_name}, "
+                f"jobs={jobs}) is invalid: per-day hooks cannot be "
+                f"shipped to worker processes, so per_day_hook "
+                f"requires jobs=1"
+            )
         for i, day in enumerate(days):
-            traffic = scenario.day_traffic(int(day), with_takedown=with_takedown)
-            observed = scenario.observe_day(vantage, traffic)
+            observed = observed_days(
+                scenario, vantage, [int(day)], with_takedown, jobs=1, cache=cache
+            )[0]
             for selector in selectors:
                 out[selector.name][i] = selector.packets(observed)
-            if per_day_hook is not None:
-                per_day_hook(int(day), observed)
+            per_day_hook(int(day), observed)
         return DailyPortSeries(days=days, series=out)
 
 
@@ -180,14 +168,15 @@ def collect_streaming(
 ):
     """Feed a day range through a one-pass accumulator.
 
-    ``analyzer`` is anything with an ``ingest_day(day, observed_table)``
-    method — normally :class:`repro.core.streaming.StreamingAnalyzer`.
-    With ``jobs != 1`` the analyzer must also implement the merge
-    protocol (``clone_empty()`` + ``merge(other)``): worker chunks
-    ingest into clones, and the clones fold back order-independently,
-    bit-identical to the serial pass. ``cache`` consults/populates the
-    process-wide day-result cache. ``batch_days`` sets the days per pool
-    task (0 = auto-size). Returns the analyzer for chaining.
+    ``analyzer`` implements ``ingest_day(day, observed_table)`` and the
+    merge protocol (``clone_empty()``, ``merge(other)`` and
+    ``fingerprint()``, which keys its clones in the day cache) — normally a
+    :class:`repro.core.streaming.StreamingAnalyzer`. Each day ingests
+    into its own clone, and the clones fold back order-independently,
+    bit-identical to a one-by-one pass, for any ``jobs``. ``cache``
+    consults/populates the process-wide day-result cache. ``batch_days``
+    sets the days per pool task (0 = auto-size). Returns the analyzer
+    for chaining.
     """
     start, end = day_range if day_range is not None else (0, scenario.config.n_days)
     if end <= start:
@@ -197,20 +186,15 @@ def collect_streaming(
         trace_args={"vantage": vantage, "day_start": int(start), "day_end": int(end)},
     ):
         metrics().inc("pipeline.days_processed", end - start)
-        if jobs != 1 or cache:
-            from repro.core.parallel import streaming_ingest
+        from repro.core.parallel import streaming_ingest
 
-            return streaming_ingest(
-                scenario,
-                vantage,
-                analyzer,
-                range(start, end),
-                with_takedown,
-                jobs=jobs,
-                cache=cache,
-                batch_days=batch_days,
-            )
-        for day in range(start, end):
-            traffic = scenario.day_traffic(day, with_takedown=with_takedown)
-            analyzer.ingest_day(day, scenario.observe_day(vantage, traffic))
-        return analyzer
+        return streaming_ingest(
+            scenario,
+            vantage,
+            analyzer,
+            range(start, end),
+            with_takedown,
+            jobs=jobs,
+            cache=cache,
+            batch_days=batch_days,
+        )

@@ -188,6 +188,27 @@ class StreamingAnalyzer:
         self._days_seen |= other._days_seen
         return self
 
+    def fingerprint(self) -> tuple:
+        """Every parameter that shapes what a day contributes.
+
+        Two analyzers with equal fingerprints produce identical one-day
+        clones, so the day cache keys streaming products by it.
+        """
+        return (
+            type(self).__name__,
+            tuple((s.name, s.port, s.direction) for s in self.selectors),
+            self.n_days,
+            repr(self.thresholds),
+            self.sampling_factor,
+            self._sources.precision,
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in series arrays and sketch registers."""
+        arrays = sum(a.nbytes for a in self.daily.values()) + self.hourly_attacks.nbytes
+        return int(arrays + self._sources.nbytes)
+
     # -- results -----------------------------------------------------------------
 
     def daily_series(self, name: str) -> np.ndarray:

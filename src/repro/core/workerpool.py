@@ -1,10 +1,9 @@
 """Persistent warm worker pool for the day-parallel executor.
 
-:mod:`repro.core.parallel` used to build a fresh ``ProcessPoolExecutor``
-inside every ``observed_days`` / ``daily_port_counts`` /
-``streaming_ingest`` / ``day_attack_tables`` call, so each call paid
-pool spin-up, fork, and (under ``spawn``) scenario re-materialization
-again. This module owns the executor instead:
+Day products (:mod:`repro.core.parallel`) run on one executor that
+lives across every plan of a run, so no call pays pool spin-up, fork,
+or (under ``spawn``) scenario re-materialization again. This module
+owns that executor:
 
 * :class:`WorkerPool` spawns its worker processes **once** with an
   initializer that preloads the registered scenario (under the
@@ -18,9 +17,8 @@ again. This module owns the executor instead:
   cheap items into one task (dynamic chunksize, or an explicit
   ``batch`` request) so per-task dispatch and pickle overhead amortize.
   Batching is a pure transport detail: every item still runs under its
-  own fresh worker registry, so results and their ``scenario.*`` replay
-  deltas come back at per-item granularity and cache keys are
-  unchanged.
+  own fresh worker registry, so results and their counters come back at
+  per-item granularity and cache keys are unchanged.
 * **One transport lane**: results travel back over the pool's result
   pipe; :class:`~repro.flows.records.FlowTable` pickles as one packed
   byte plane, and its payload bytes are credited to ``pool.pipe_bytes``.
@@ -59,10 +57,9 @@ __all__ = [
     "worker_init_count",
 ]
 
-#: Counter family replayed on day-cache hits (mirrored by
-#: :mod:`repro.core.parallel`). The ``scenario.*`` counters are *logical*
-#: work counters, so serving a day from cache — or from a pool worker —
-#: must count the same as regenerating it serially.
+#: Counter family :meth:`WorkerPool.map_with_deltas` reports per item.
+#: Day products (:mod:`repro.core.parallel`) record none of it in the
+#: worker: they carry their logical counters inside the product.
 REPLAY_PREFIX = "scenario."
 
 #: Auto-batching oversubscription: aim for about this many batches per
@@ -209,6 +206,15 @@ def _batch_task(
     return [_metered_item(fn, item, trace, request_id) for item in batch]
 
 
+def _table_bytes(result: Any) -> int:
+    """Packed bytes of the flow tables in a result (tuples/lists searched)."""
+    if isinstance(result, FlowTable):
+        return len(result) * RECORD_DTYPE.itemsize
+    if isinstance(result, (tuple, list)):
+        return sum(_table_bytes(part) for part in result)
+    return 0
+
+
 # -- the pool ------------------------------------------------------------------
 
 
@@ -251,8 +257,8 @@ class WorkerPool:
         is enabled every item runs metered and its worker registry folds
         into the parent, with the item's ``scenario.*`` counter deltas
         returned alongside the result (``None`` when the registry is
-        off) — exactly what the day cache stores for replay. Flow-table
-        results credit their packed payload bytes to ``pool.pipe_bytes``.
+        off). Flow tables in a result (also inside tuples and lists)
+        credit their packed payload bytes to ``pool.pipe_bytes``.
         """
         if self.closed:
             raise RuntimeError("WorkerPool is shut down")
@@ -300,8 +306,9 @@ class WorkerPool:
                         for name, value in worker_registry.counters.items()
                         if name.startswith(REPLAY_PREFIX) and value
                     }
-                if isinstance(result, FlowTable):
-                    registry.inc("pool.pipe_bytes", len(result) * RECORD_DTYPE.itemsize)
+                table_bytes = _table_bytes(result)
+                if table_bytes:
+                    registry.inc("pool.pipe_bytes", table_bytes)
                 results.append((result, deltas))
         return results
 

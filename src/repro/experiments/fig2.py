@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.classify import ClassifierThresholds, ConservativeClassifier, OptimisticClassifier
-from repro.core.parallel import observed_days
+from repro.core.parallel import DayNeed, observed_days
 from repro.core.victims import victim_report
 from repro.experiments.base import (
     ExperimentConfig,
@@ -26,19 +26,41 @@ from repro.flows.timeseries import per_destination_stats
 from repro.scenario import Scenario
 from repro.stats.ecdf import Ecdf, empirical_pdf
 
-__all__ = ["run_fig2a", "run_fig2b", "run_fig2c", "run_landscape"]
+__all__ = [
+    "run_fig2a",
+    "run_fig2b",
+    "run_fig2c",
+    "run_landscape",
+    "fig2a_needs",
+    "window_needs",
+    "landscape_needs",
+]
 
 #: Days of wild traffic analyzed per vantage point (each VP's own window).
 _VP_DAYS = {"ixp": (40, 54), "tier1": (73, 87), "tier2": (40, 54)}
 _VP_SAMPLING = {"ixp": 10_000.0, "tier1": 1_000.0, "tier2": 1_000.0}
 
 
-def _observed_window(scenario: Scenario, vantage: str, config: ExperimentConfig) -> FlowTable:
-    start, end = _VP_DAYS[vantage]
+def fig2a_needs(config: ExperimentConfig) -> list[DayNeed]:
+    """Fig 2(a) reads the first day of the IXP window."""
+    return [DayNeed("observed", "ixp", _VP_DAYS["ixp"][:1])]
+
+
+def window_needs(config: ExperimentConfig) -> list[DayNeed]:
+    """Fig 2(b)/(c) read each vantage's observed window."""
+    return [DayNeed("observed", v, range(*days)) for v, days in _VP_DAYS.items()]
+
+
+def landscape_needs(config: ExperimentConfig) -> list[DayNeed]:
+    """Section 4 reads the IXP window."""
+    return [DayNeed("observed", "ixp", range(*_VP_DAYS["ixp"]))]
+
+
+def _observed(scenario: Scenario, need: DayNeed, config: ExperimentConfig) -> FlowTable:
     tables = observed_days(
         scenario,
-        vantage,
-        range(start, end),
+        need.vantage,
+        need.days,
         jobs=config.jobs,
         cache=config.use_cache,
         batch_days=config.batch_days,
@@ -49,15 +71,15 @@ def _observed_window(scenario: Scenario, vantage: str, config: ExperimentConfig)
 def run_fig2a(config: ExperimentConfig) -> ExperimentResult:
     """Regenerate Figure 2(a): NTP packet-size CDF/PDF at the IXP."""
     scenario = build_scenario(config)
-    day = _VP_DAYS["ixp"][0]
-    observed = observed_days(
+    (need,) = fig2a_needs(config)
+    (observed,) = observed_days(
         scenario,
-        "ixp",
-        [day],
+        need.vantage,
+        need.days,
         jobs=config.jobs,
         cache=config.use_cache,
         batch_days=config.batch_days,
-    )[0]
+    )
     # All NTP packets at the IXP, both directions.
     ntp = observed.filter(
         (observed["src_port"] == 123) | (observed["dst_port"] == 123)
@@ -105,13 +127,12 @@ def _large_mode(sizes: np.ndarray) -> float:
 
 
 def _per_vp_reports(scenario: Scenario, config: ExperimentConfig) -> dict[str, object]:
-    reports = {}
-    for vantage in ("ixp", "tier1", "tier2"):
-        observed = _observed_window(scenario, vantage, config)
-        reports[vantage] = victim_report(
-            observed, sampling_factor=_VP_SAMPLING[vantage]
+    return {
+        need.vantage: victim_report(
+            _observed(scenario, need, config), sampling_factor=_VP_SAMPLING[need.vantage]
         )
-    return reports
+        for need in window_needs(config)
+    }
 
 
 def run_fig2b(config: ExperimentConfig) -> ExperimentResult:
@@ -226,7 +247,8 @@ def run_fig2c(config: ExperimentConfig) -> ExperimentResult:
 def run_landscape(config: ExperimentConfig) -> ExperimentResult:
     """Section 4's in-text numbers: conservative-filter reductions."""
     scenario = build_scenario(config)
-    observed = _observed_window(scenario, "ixp", config)
+    (need,) = landscape_needs(config)
+    observed = _observed(scenario, need, config)
     thresholds = ClassifierThresholds()
     optimistic = OptimisticClassifier(thresholds)
     conservative = ConservativeClassifier(thresholds)

@@ -7,6 +7,7 @@ direction) combinations discussed in the text.
 
 from __future__ import annotations
 
+from repro.core.parallel import DayNeed
 from repro.core.pipeline import TrafficSelector, collect_daily_port_series
 from repro.core.takedown_analysis import TakedownReport, analyze_takedown
 from repro.experiments.base import (
@@ -16,7 +17,7 @@ from repro.experiments.base import (
     format_table,
 )
 
-__all__ = ["run", "SELECTORS"]
+__all__ = ["run", "SELECTORS", "day_needs"]
 
 SELECTORS: dict[str, TrafficSelector] = {
     "ntp_to": TrafficSelector("ntp_to", 123, "to_reflectors"),
@@ -37,27 +38,39 @@ PANELS = (
 )
 
 
+def day_needs(config: ExperimentConfig) -> list[DayNeed]:
+    """Every selector's daily counts at the IXP and the tier-2 ISP.
+
+    The takedown windows need ±40 days; the IXP window starts day 27.
+    """
+    days = range(40, config.scenario_config().n_days - 1)
+    return [
+        DayNeed("ports", vantage, days, selectors=tuple(SELECTORS.values()))
+        for vantage in ("ixp", "tier2")
+    ]
+
+
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Regenerate Figure 4: the takedown wt30/wt40 + red30/red40 grid."""
     scenario = build_scenario(config)
     takedown_day = scenario.config.takedown_day
-    # The takedown windows need ±40 days; the IXP window starts day 27.
-    day_range = (40, scenario.config.n_days - 1)
+    needs = day_needs(config)
+    day_range = needs[0].day_range
     takedown_index = takedown_day - day_range[0]
 
     reports: dict[str, TakedownReport] = {}
-    for vantage in ("ixp", "tier2"):
+    for need in needs:
         series = collect_daily_port_series(
             scenario,
-            vantage,
-            list(SELECTORS.values()),
-            day_range=day_range,
+            need.vantage,
+            list(need.selectors),
+            day_range=need.day_range,
             jobs=config.jobs,
             cache=config.use_cache,
             batch_days=config.batch_days,
         )
         for name in SELECTORS:
-            key = f"{name}@{vantage}"
+            key = f"{name}@{need.vantage}"
             reports[key] = analyze_takedown(
                 series.get(name), takedown_index, windows=(30, 40), series_name=key
             )

@@ -7,12 +7,14 @@ central negative finding: no significant reduction after the takedown.
 
 The hourly reduction runs through :func:`repro.core.pipeline.collect_streaming`
 with a :class:`~repro.core.streaming.StreamingAnalyzer`, so it
-parallelizes over days (``--jobs``) and reuses cached observed days from
-earlier experiments (``--cache``) with bit-identical results.
+parallelizes over days (``--jobs``) and, with the day cache on, reads the
+one-day analyzer clones the run's day plan computed alongside Fig 4's
+port counts, with bit-identical results.
 """
 
 from __future__ import annotations
 
+from repro.core.parallel import DayNeed
 from repro.core.pipeline import collect_streaming
 from repro.core.streaming import StreamingAnalyzer
 from repro.core.takedown_analysis import analyze_takedown
@@ -23,22 +25,32 @@ from repro.experiments.base import (
     format_table,
 )
 
-__all__ = ["run"]
+__all__ = ["run", "day_needs"]
+
+
+def day_needs(config: ExperimentConfig) -> list[DayNeed]:
+    """One hourly attack-count stream over Fig 4's days at the IXP."""
+    scenario_config = config.scenario_config()
+    analyzer = StreamingAnalyzer(
+        [],
+        n_days=scenario_config.n_days,
+        sampling_factor=float(scenario_config.ixp_sampling),
+    )
+    days = range(40, scenario_config.n_days - 1)
+    return [DayNeed("stream", "ixp", days, analyzer=analyzer)]
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Regenerate Figure 5: systems under NTP attack per hour (null)."""
     scenario = build_scenario(config)
     takedown_day = scenario.config.takedown_day
-    day_range = (40, scenario.config.n_days - 1)
-    sampling = float(scenario.config.ixp_sampling)
+    (need,) = day_needs(config)
+    day_range = need.day_range
 
-    analyzer = StreamingAnalyzer(
-        [], n_days=scenario.config.n_days, sampling_factor=sampling
-    )
+    analyzer = need.analyzer
     collect_streaming(
         scenario,
-        "ixp",
+        need.vantage,
         analyzer,
         day_range=day_range,
         jobs=config.jobs,

@@ -17,9 +17,10 @@ from repro.experiments import (
     selfattack_summary,
     table1,
 )
+from repro.core.parallel import DayNeed
 from repro.experiments.base import ExperimentConfig, ExperimentResult
 
-__all__ = ["EXPERIMENTS", "get_experiment", "run_experiment"]
+__all__ = ["EXPERIMENTS", "DAY_NEEDS", "day_needs", "get_experiment", "run_experiment"]
 
 EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
     "table1": table1.run,
@@ -42,6 +43,28 @@ EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
     "honeypot": honeypot_exp.run,
     "victimization": victimization_exp.run,
 }
+
+#: What each day fan-out experiment reads from the day products; the
+#: runner unions the selected experiments' needs into one plan.
+DAY_NEEDS: dict[str, Callable[[ExperimentConfig], list[DayNeed]]] = {
+    "fig2a": fig2.fig2a_needs,
+    "fig2b": fig2.window_needs,
+    "fig2c": fig2.window_needs,
+    "landscape": fig2.landscape_needs,
+    "fig4": fig4.day_needs,
+    "fig5": fig5.day_needs,
+    "victimization": victimization_exp.day_needs,
+}
+
+
+def day_needs(experiment_ids: list[str], config: ExperimentConfig) -> list[DayNeed]:
+    """The day needs of ``experiment_ids``, in order."""
+    return [
+        need
+        for experiment_id in experiment_ids
+        if experiment_id in DAY_NEEDS
+        for need in DAY_NEEDS[experiment_id](config)
+    ]
 
 
 def get_experiment(experiment_id: str) -> Callable[[ExperimentConfig], ExperimentResult]:

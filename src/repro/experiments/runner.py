@@ -29,10 +29,10 @@ import sys
 import time
 
 from repro.core.diskcache import DEFAULT_MAX_BYTES, DiskDayCache
-from repro.core.parallel import day_cache
+from repro.core.parallel import day_cache, run_plan
 from repro.core.workerpool import shutdown_pool
-from repro.experiments.base import ExperimentConfig
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.base import ExperimentConfig, build_scenario
+from repro.experiments.registry import EXPERIMENTS, day_needs, run_experiment
 from repro.logutil import LOG_LEVELS, configure_cli_logging
 from repro.obs import (
     MetricsRegistry,
@@ -201,6 +201,23 @@ def _run(
     experiment_wall_s: dict[str, float] = {}
     results = []
     run_start = time.perf_counter()
+    needs = day_needs(ids, config) if config.use_cache else []
+    if needs:
+        # One plan for the whole run: each day is synthesized once and
+        # every experiment then reads its reductions from the cache.
+        registry = MetricsRegistry(
+            enabled=record, trace=TraceRecorder() if args.trace_out else None
+        )
+        previous = set_metrics(registry)
+        try:
+            with registry.span("run.day_plan"):
+                run_plan(build_scenario(config), needs, config.jobs, config.batch_days)
+        finally:
+            set_metrics(previous)
+        total_registry.merge(registry)
+        if show_profile:
+            print(render_profile(registry, title="--- day plan profile ---"))
+            print()
     for experiment_id in ids:
         before = day_cache().stats()
         registry = MetricsRegistry(

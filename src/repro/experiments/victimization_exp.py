@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.parallel import day_attack_tables, day_events
+from repro.core.parallel import DayNeed, day_attack_tables, day_events
 from repro.core.victims import victim_asn_breakdown, victim_report
 from repro.experiments.base import (
     ExperimentConfig,
@@ -21,9 +21,14 @@ from repro.experiments.base import (
 )
 from repro.flows.records import FlowTable
 
-__all__ = ["run"]
+__all__ = ["run", "day_needs"]
 
 _DAYS = range(40, 54)
+
+
+def day_needs(config: ExperimentConfig) -> list[DayNeed]:
+    """Ground-truth attack tables of the first three days."""
+    return [DayNeed("attack", None, _DAYS[:3])]
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -54,10 +59,11 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     # Per-AS-role victimization, from the ground-truth attack flows
     # (anonymized vantage exports cannot be resolved back to ASes).
+    (need,) = day_needs(config)
     ground_truth = FlowTable.concat(
         day_attack_tables(
             scenario,
-            list(_DAYS)[:3],
+            need.days,
             jobs=config.jobs,
             cache=config.use_cache,
             batch_days=config.batch_days,

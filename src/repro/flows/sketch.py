@@ -174,5 +174,10 @@ class PerKeyCardinality:
         clone._sketches = {k: s.copy() for k, s in self._sketches.items()}
         return clone
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in sketch registers."""
+        return sum(s.registers.nbytes for s in self._sketches.values())
+
     def __len__(self) -> int:
         return len(self._sketches)

@@ -20,9 +20,10 @@ Naming conventions (relied on by tests and the profile report):
 
 * deterministic work counters live under the ``scenario.``,
   ``streaming.`` and ``pipeline.`` families and must be identical for
-  ``jobs=1`` and ``jobs=N`` runs of the same work, cached or not (the
-  day cache stores each day's ``scenario.*`` deltas and replays them on
-  hits, so these counters measure logical rather than physical work);
+  ``jobs=1`` and ``jobs=N`` runs of the same work, cached or not (day
+  products carry the logical deltas of each reduction and every
+  consumer replays what it reads, so these counters measure logical
+  rather than physical work);
 * timing counters end in ``_s`` (seconds) and execution-strategy
   metrics live under the ``cache.`` / ``pool.`` / ``serve.`` /
   ``visibility.`` / ``parallel.`` families — all of these are

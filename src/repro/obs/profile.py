@@ -133,6 +133,12 @@ def render_profile(registry: MetricsRegistry, title: str | None = None) -> str:
             f"{registry.counter('cache.disk_hits') + registry.counter('cache.disk_misses'):.0f}"
             f"{corrupt_note})"
         )
+    synthesized = registry.counter("parallel.days_synthesized")
+    if synthesized:
+        summary.append(
+            f"day synthesis: {synthesized:.0f} for "
+            f"{registry.counter('parallel.distinct_days'):.0f} distinct (day, takedown)"
+        )
     pipe_bytes = registry.counter("pool.pipe_bytes")
     if pipe_bytes:
         summary.append(f"result transport: {pipe_bytes / 1e6:.1f} MB pipe")

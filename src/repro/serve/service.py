@@ -4,7 +4,7 @@ Every endpoint payload is derived from the same deterministic day
 pipeline the experiments use (:mod:`repro.core.parallel` helpers with
 caching on), so a request resolves through the tiers in order:
 
-1. in-memory :class:`~repro.core.parallel.DayResultCache` — hit in
+1. in-memory :class:`~repro.core.daycache.DayResultCache` — hit in
    microseconds;
 2. the attached :class:`~repro.core.diskcache.DiskDayCache` (when the
    server runs with ``--cache-dir``) — one memmap + checksum pass;

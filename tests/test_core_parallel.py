@@ -360,7 +360,7 @@ class TestDayResultCacheEdgeCases:
         """Accounting regression: filling far past max_entries, with
         overwrites mixed in, must keep resident_bytes exactly equal to
         the sum of _approx_nbytes over live entries — and never negative."""
-        from repro.core.parallel import _approx_nbytes
+        from repro.core.daycache import _approx_nbytes
 
         cache = DayResultCache(max_entries=4)
         rng = np.random.default_rng(0)

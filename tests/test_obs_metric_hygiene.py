@@ -78,6 +78,15 @@ def test_scan_covers_the_economics_plane():
     assert "market.ledger_resident_bytes" in names
 
 
+def test_day_synthesis_counters_are_physical():
+    """The day-plan counters are scanned and kept out of the digest."""
+    names = _collect_metric_names()
+    for name in ("parallel.days_synthesized", "parallel.distinct_days"):
+        assert any(site.startswith("core/parallel.py") for site in names[name]), name
+        assert name.startswith(EXCLUDED_PREFIXES)
+        assert not deterministic_counters({name: 81.0})
+
+
 def test_every_literal_metric_name_is_classified():
     unclassified = {
         name: sites

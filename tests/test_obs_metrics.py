@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.booter.market import MarketConfig
-from repro.core.parallel import day_cache
+from repro.core.parallel import day_cache, observed_days
 from repro.core.pipeline import TrafficSelector, collect_daily_port_series, collect_streaming
 from repro.core.streaming import StreamingAnalyzer
 from repro.netmodel.topology import TopologyConfig
@@ -295,9 +295,9 @@ class TestInstrumentedPipeline:
         day_cache().clear()
 
     def test_streaming_counters_match_after_foreign_cache_warmup(self, scenario):
-        """The fig5-after-fig4 case: one experiment warms the observed-table
-        cache serially, the next streams the same days — its counters must
-        equal a cold-cache streaming run of identical days."""
+        """The fig5-after-fig2 case: one experiment warms the observed-table
+        cache, the next streams the same days — its counters must equal a
+        cold-cache streaming run of identical days."""
 
         def stream(cache):
             registry = MetricsRegistry()
@@ -314,9 +314,7 @@ class TestInstrumentedPipeline:
         cold = stream(cache=False)
         warmup = MetricsRegistry()
         with use_metrics(warmup):
-            collect_daily_port_series(
-                scenario, "tier2", SELECTORS, day_range=(40, 43), cache=True
-            )
+            observed_days(scenario, "tier2", range(40, 43), cache=True)
         warm = stream(cache=True)
         assert warm.counter("cache.hits") >= 3  # served, not regenerated
         assert _deterministic(warm) == _deterministic(cold)
@@ -413,6 +411,14 @@ class TestProfileAndExport:
 
     def test_render_profile_empty(self):
         assert "(no spans recorded)" in render_profile(MetricsRegistry())
+
+    def test_render_profile_day_synthesis_line(self):
+        registry = MetricsRegistry()
+        assert "day synthesis" not in render_profile(registry)
+        registry.inc("parallel.days_synthesized", 245)
+        registry.inc("parallel.distinct_days", 81)
+        text = render_profile(registry)
+        assert "day synthesis: 245 for 81 distinct (day, takedown)" in text
 
     def test_export_metrics_schema(self, tmp_path):
         registry = self._recorded()

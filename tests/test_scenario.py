@@ -110,9 +110,24 @@ class TestDayTraffic:
         assert without_td.scan.total_packets > with_td.scan.total_packets
 
     def test_cache(self, scenario):
-        a = scenario.day_traffic(31, cache=True)
-        b = scenario.day_traffic(31, cache=True)
+        """A repeated day is served by the day-product cache: one
+        synthesis, the same table back. The scenario keeps no days."""
+        from repro.core.parallel import day_cache, observed_days
+        from repro.obs import MetricsRegistry, use_metrics
+
+        day_cache().clear()
+        registry = MetricsRegistry(enabled=True)
+        try:
+            with use_metrics(registry):
+                (a,) = observed_days(scenario, "ixp", [31], cache=True)
+                (b,) = observed_days(scenario, "ixp", [31], cache=True)
+        finally:
+            day_cache().clear()
         assert a is b
+        assert registry.counter("parallel.days_synthesized") == 1
+        # Logical counters count both reads.
+        assert registry.counter("scenario.days_generated") == 2
+        assert not hasattr(scenario, "_day_cache")
 
     def test_to_reflectors_excludes_attack(self, scenario):
         d = scenario.day_traffic(30)
