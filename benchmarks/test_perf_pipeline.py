@@ -306,8 +306,7 @@ def test_perf_visibility_matrix_mask(benchmark, scenario, day_traffic):
     """Warm-matrix mask resolution over a full day table."""
     table = day_traffic.all_flows()
     visibility = scenario.visibility
-    assert visibility.matrix is not None
-    visibility.matrix.ixp_tables()  # warm outside the timer
+    visibility.matrix.warm()  # warm outside the timer
     src, dst = table["src_asn"], table["dst_asn"]
     mask, peers = benchmark(lambda: visibility.ixp_mask(src, dst))
     assert mask.shape == peers.shape == src.shape
@@ -349,9 +348,9 @@ def _legacy_day_traffic(scenario, day, bin_seconds=60.0):
 def _legacy_observe_all(scenario, traffic):
     """The pre-matrix observation: cold per-pair oracle, per-vantage concat."""
     from repro.flows.records import FlowTable
-    from repro.vantage.visibility import FlowVisibility
+    from tests.oracles.visibility import OracleVisibility
 
-    oracle = FlowVisibility(scenario.topology)  # cold caches, as in a fresh worker
+    oracle = OracleVisibility(scenario.topology)  # cold caches, as in a fresh worker
     saved = {name: vp.visibility for name, vp in scenario.vantage_points.items()}
     observed = {}
     try:
@@ -374,7 +373,7 @@ def test_perf_flowplane_fastpath(scenario):
     Compares a full day's generate-and-observe under the old shape
     (per-event tables + concat; fresh lazy visibility oracle, per-vantage
     re-concat) against the current fast path (FlowTableBuilder synthesis;
-    dense precomputed matrix with fused per-day pair resolution). The
+    precomputed column-block matrix with fused per-day pair resolution). The
     observed exports must be bit-identical; timings append to
     ``benchmarks/BENCH_flowplane.json`` (a JSON list, oldest first) with
     the matrix build time recorded separately. The >= 2x speedup
@@ -385,12 +384,11 @@ def test_perf_flowplane_fastpath(scenario):
     day = 45
     reps = 3
     matrix = scenario.visibility.matrix
-    assert matrix is not None
 
     start = time.perf_counter()
-    matrix.ixp_tables()
-    matrix.isp_tables(scenario.tier1.asn, True)
-    matrix.isp_tables(scenario.tier2.asn, False)
+    matrix.warm(
+        isp_views=((scenario.tier1.asn, True), (scenario.tier2.asn, False))
+    )
     matrix_build_s = time.perf_counter() - start
 
     legacy_s = float("inf")

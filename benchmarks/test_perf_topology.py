@@ -4,16 +4,18 @@ Three legs, all appending history entries to ``BENCH_topology.json``
 (a JSON list, oldest first, same shape as the other BENCH files):
 
 * **2k route-tree floor** — the batched array engine must construct route
-  trees >= 10x faster than the legacy per-destination dict BFS at 2k
-  ASes. Both sides are single-threaded numpy/Python, so the ratio is
-  machine-independent and asserted on every runner.
+  trees >= 10x faster than the per-destination dict BFS oracle
+  (``tests.oracles.routes``) at 2k ASes. Both sides are single-threaded
+  numpy/Python, so the ratio is machine-independent and asserted on
+  every runner.
 * **1k/2k/5k scaling curve** — build time, route-plane time, full
-  route-tree sweep, and blocked-visibility resolution per AS count, with
-  a wall budget on the 5k build+route+observe path.
+  route-tree sweep, and column-block visibility resolution per AS count
+  (one block spanning every column at 1k/2k, 512-column blocks at 5k),
+  with a wall budget on the 5k build+route+observe path.
 * **10k observation day** — a full `Scenario` on a 10k-AS internet model
-  resolves one complete observation day (all three vantage points) in
-  blocked visibility mode within a wall + RSS budget. Impossible with the
-  dense int64 tables this replaced (~0.8 GB per view at 10k ASes).
+  resolves one complete observation day (all three vantage points)
+  through 512-column visibility blocks within a wall + RSS budget.
+  Impossible with full int64 tables (~0.8 GB per view at 10k ASes).
 
 Default-scale digests are pinned elsewhere (goldens + drift-gate); these
 legs only chase scale.
@@ -31,6 +33,7 @@ import numpy as np
 from repro.netmodel.topology import TopologyConfig, build_topology
 from repro.stats.rng import SeedSequenceTree
 from repro.vantage.matrix import VisibilityMatrix
+from tests.oracles.routes import routes_to_legacy
 
 #: Wall budget (seconds) of the 5k-AS build + route + observe leg. The
 #: measured path is ~3 s on a laptop-class core; the budget absorbs slow
@@ -66,13 +69,13 @@ def test_perf_route_tree_speedup_2k():
 
     # Warm both engines (plane build, numpy one-time costs) off the clock.
     topo.routes_to_many(asns[:64])
-    topo._routes_to_legacy(asns[0])
+    routes_to_legacy(topo, asns[0])
     topo._route_cache.clear()
     topo._route_cache_bytes = 0
 
     sample = asns[::40]
     start = time.perf_counter()
-    legacy_trees = {dst: topo._routes_to_legacy(dst) for dst in sample}
+    legacy_trees = {dst: routes_to_legacy(topo, dst) for dst in sample}
     legacy_per_dst_s = (time.perf_counter() - start) / len(sample)
 
     batch_s = float("inf")
@@ -134,9 +137,9 @@ def test_perf_scaling_curve():
         topo.routes_to_many(topo.asns)
         routes_s = time.perf_counter() - start
 
-        # Blocked visibility: resolve 200k random pairs through the IXP
-        # view and a tier-1 ingress view — touches every column block.
-        matrix = VisibilityMatrix(topo, mode="blocked")
+        # Column-block visibility: resolve 200k random pairs through the
+        # IXP view and a tier-1 ingress view — touches every column block.
+        matrix = VisibilityMatrix(topo)
         tier1 = topo.asns[0]
         src = rng.integers(0, len(topo.asns), 200_000)
         dst = rng.integers(0, len(topo.asns), 200_000)
@@ -190,7 +193,7 @@ def test_perf_10k_observation_day():
     )
     build_s = time.perf_counter() - start
     matrix = scenario.visibility.matrix
-    assert matrix.blocked, "10k ASes must auto-select blocked visibility"
+    assert matrix.blocked, "10k ASes must resolve through narrow column blocks"
 
     start = time.perf_counter()
     traffic = scenario.day_traffic(scenario.config.takedown_day)

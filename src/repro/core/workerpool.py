@@ -9,7 +9,7 @@ owns that executor:
   initializer that preloads the registered scenario (under the
   Linux-default ``fork`` start method the built world is inherited for
   free) and warms its :class:`~repro.vantage.matrix.VisibilityMatrix`
-  tables. :func:`get_pool` hands the same live pool back to every
+  blocks. :func:`get_pool` hands the same live pool back to every
   subsequent call site with a matching ``(jobs, config hash)`` key —
   reuse is the common case and is counted (``pool.spawns`` /
   ``pool.reuses``).
@@ -124,15 +124,12 @@ def worker_init_count() -> int:
 
 
 def _warm_scenario(scenario: Scenario) -> None:
-    """Build the lazy visibility-matrix tables ahead of the first task.
+    """Build the lazy visibility-matrix blocks ahead of the first task.
 
     Workers would otherwise each pay the build on their first
     observation; warming in the initializer front-loads it.
     """
-    matrix = getattr(scenario.visibility, "matrix", None)
-    if matrix is None:
-        return
-    matrix.warm(
+    scenario.visibility.matrix.warm(
         isp_views=tuple(
             (vp.asn, vp.ingress_only) for vp in (scenario.tier1, scenario.tier2)
         )

@@ -10,22 +10,14 @@ Routing follows the standard Gao-Rexford model: every AS prefers
 customer-learned routes over peer-learned over provider-learned, paths are
 valley-free, and ties break on path length then lowest next-hop ASN.
 
-Two route engines coexist:
-
-* the **array engine** (:meth:`ASTopology.routes_to_arrays`): a CSR
-  adjacency snapshot (:class:`RoutePlane`, rebuilt once per topology
-  version) feeds three frontier-vectorized phases that fill per-node
-  ``(kind, length, next_hop)`` arrays with no per-pair Python. This is
-  the only engine on hot paths; per-destination results live in a
-  byte-bounded LRU (``topology.route_cache_*`` counters).
-* the **legacy dict engine** (:meth:`ASTopology._routes_to_legacy`): the
-  original per-destination three-state BFS over dict-of-``_RouteEntry``.
-  It is kept as the correctness reference — the parity suite asserts the
-  two produce bit-identical route trees — and as the baseline the
-  topology scaling benchmark measures the array engine against.
-
-:meth:`ASTopology._routes_to` remains as a thin dict compatibility view
-over the array engine for callers that still want ``{asn: _RouteEntry}``.
+Routes come from one engine, :meth:`ASTopology.routes_to_many`: a CSR
+adjacency snapshot (:class:`RoutePlane`, rebuilt once per topology
+version) feeds three frontier-vectorized phases that fill per-node
+``(kind, length, next_hop)`` arrays for a whole batch of destinations
+at once, with no per-pair Python. :meth:`ASTopology.routes_to_arrays`
+is its batch-of-one row, kept in a byte-bounded LRU
+(``topology.route_cache_*`` counters). The original per-destination dict
+BFS it replaced lives in the test suite as the parity oracle.
 """
 
 from __future__ import annotations
@@ -142,19 +134,6 @@ class TopologyConfig:
         )
 
 
-@dataclass
-class _RouteEntry:
-    """Best route of one AS towards the current destination."""
-
-    kind: str  # "down" | "peer" | "up"
-    length: int
-    next_hop: int  # -1 at the destination itself
-
-
-#: Route-kind codes of the array engine (order = Gao-Rexford preference).
-_KIND_CODES = ("down", "peer", "up")
-
-
 @dataclass(frozen=True)
 class RoutePlane:
     """CSR adjacency snapshot of one topology version.
@@ -225,34 +204,18 @@ def _csr_from_dict(
     return indptr, indices
 
 
-def _expand_neighbors(
-    indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (target, source) adjacency pairs of ``nodes``, concatenated."""
-    counts = indptr[nodes + 1] - indptr[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    sources = np.repeat(nodes, counts)
-    offsets = np.arange(total, dtype=np.int64)
-    offsets -= np.repeat(np.cumsum(counts) - counts, counts)
-    targets = indices[np.repeat(indptr[nodes], counts) + offsets].astype(np.int64)
-    return targets, sources
-
-
 def _expand_neighbors_multi(
     indptr: np.ndarray, indices: np.ndarray, comp: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_expand_neighbors` over composite ``row * n + node`` ids.
+    """All (target, source) adjacency pairs of composite ``row * n + node`` ids.
 
-    The batched route engine runs one frontier holding nodes of *many*
+    The route engine runs one frontier holding nodes of *many*
     destination rows at once; targets stay inside their source's row, so
-    the row base is added back onto the CSR targets. Returns
-    ``(targets, sources, src_nodes)`` — composite targets/sources plus
-    each edge's real source node index (the tie-break rank), computed
-    here because the per-node repeat is cheaper than a full-size modulo
-    at every call site.
+    the row base is added back onto the CSR targets (row 0 ids are plain
+    node indices). Returns ``(targets, sources, src_nodes)`` — composite
+    targets/sources plus each edge's real source node index (the
+    tie-break rank), computed here because the per-node repeat is
+    cheaper than a full-size modulo at every call site.
     """
     nodes = comp % n
     counts = indptr[nodes + 1] - indptr[nodes]
@@ -272,27 +235,16 @@ def _expand_neighbors_multi(
     return targets, sources, src_nodes
 
 
-def _first_per_target(
-    targets: np.ndarray, rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(unique targets, minimal rank per target) via one lexsort pass."""
-    order = np.lexsort((rank, targets))
-    t, r = targets[order], rank[order]
-    keep = np.ones(t.size, dtype=bool)
-    keep[1:] = t[1:] != t[:-1]
-    return t[keep], r[keep]
-
-
 def _min_rank_per_target(
     targets: np.ndarray, rank: np.ndarray, shift: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_first_per_target` fused into one in-place value sort.
+    """(unique targets, minimal rank per target) in one in-place value sort.
 
     Packs ``(target << shift) | rank`` into one int64 key and sorts the
     *values* — no argsort indirection, no second stable pass — then peels
     the minimal rank per target off the first occurrence. Requires
     ``rank < 2**shift`` and ``targets << shift`` to stay in int64; the
-    batch route engine bounds both (composite ids are chunk-limited).
+    route engine bounds both (composite ids are chunk-limited).
     """
     key = (targets << np.int64(shift)) | rank
     key.sort()
@@ -304,8 +256,6 @@ def _min_rank_per_target(
 
 class ASTopology:
     """An AS graph with relationship-annotated edges and route computation."""
-
-    _KIND_PREFERENCE = {"down": 0, "peer": 1, "up": 2}
 
     #: Byte budget of the per-destination route-array LRU. At the default
     #: ~240-AS world an entry is ~2 KiB so everything fits; at 10k ASes an
@@ -517,14 +467,16 @@ class ASTopology:
         mask[start] = True
         frontier = np.array([start], dtype=np.int64)
         while frontier.size:
-            targets, _ = _expand_neighbors(plane.cust_indptr, plane.cust_indices, frontier)
+            targets, _, _ = _expand_neighbors_multi(
+                plane.cust_indptr, plane.cust_indices, frontier, plane.n
+            )
             targets = np.unique(targets[~mask[targets]])
             mask[targets] = True
             frontier = targets
         self._cone_mask_cache[asn] = mask
         return mask
 
-    # -- routing: CSR plane + array engine -----------------------------------
+    # -- routing: CSR plane + route engine -----------------------------------
 
     def route_plane(self) -> RoutePlane:
         """The CSR adjacency snapshot of the current version (built once)."""
@@ -564,106 +516,24 @@ class ASTopology:
         self._plane = plane
         return plane
 
-    def _compute_route_arrays(
-        self, plane: RoutePlane, d: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The array engine: best route of every node towards node ``d``.
-
-        Returns per-node-index ``(kind, length, next_hop)`` — kind int8
-        (-1 unreachable, 0 down, 1 peer, 2 up), length int32, next_hop
-        int32 node index (-1 at the destination). Bit-identical to
-        :meth:`_routes_to_legacy` (the parity suite proves it): each
-        phase resolves ties exactly like ``_better`` — kind preference,
-        then length, then lowest next-hop ASN, which in index space is
-        the lowest source index.
-        """
-        n = plane.n
-        kind = np.full(n, -1, dtype=np.int8)
-        length = np.zeros(n, dtype=np.int32)
-        next_hop = np.full(n, -1, dtype=np.int32)
-        kind[d] = 0
-
-        # Phase 1: customer routes climb provider links, BFS by length.
-        frontier = np.array([d], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            targets, sources = _expand_neighbors(
-                plane.prov_indptr, plane.prov_indices, frontier
-            )
-            fresh = kind[targets] == -1
-            targets, sources = targets[fresh], sources[fresh]
-            if targets.size == 0:
-                break
-            t, s = _first_per_target(targets, sources)
-            kind[t] = 0
-            length[t] = level
-            next_hop[t] = s
-            frontier = t
-
-        # Phase 2: peer routes — one lateral step from any down-route holder.
-        holders = np.flatnonzero(kind == 0)
-        targets, sources = _expand_neighbors(plane.peer_indptr, plane.peer_indices, holders)
-        fresh = kind[targets] == -1
-        targets, sources = targets[fresh], sources[fresh]
-        if targets.size:
-            rank = ((length[sources].astype(np.int64) + 1) << np.int64(32)) | sources
-            t, r = _first_per_target(targets, rank)
-            kind[t] = 1
-            length[t] = r >> np.int64(32)
-            next_hop[t] = r & np.int64(0xFFFFFFFF)
-
-        # Phase 3: provider routes descend customer links from any holder,
-        # processed in ascending distance (multi-source unit-weight BFS).
-        # Within one distance bucket the first-per-target lexmin on source
-        # index reproduces the dict engine's fixed point: min length first
-        # (earlier buckets win), then lowest next-hop ASN (= lowest index).
-        holders = np.flatnonzero(kind >= 0)
-        hd = length[holders].astype(np.int64)
-        order = np.argsort(hd, kind="stable")
-        holders, hd = holders[order], hd[order]
-        uniq, starts = np.unique(hd, return_index=True)
-        stops = np.append(starts[1:], hd.size)
-        pending: dict[int, list[np.ndarray]] = {
-            int(u): [holders[a:b]] for u, a, b in zip(uniq, starts, stops)
-        }
-        dist = int(uniq[0])
-        max_dist = int(uniq[-1])
-        while dist <= max_dist:
-            parts = pending.pop(dist, None)
-            if parts is None:
-                dist += 1
-                continue
-            frontier = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            targets, sources = _expand_neighbors(
-                plane.cust_indptr, plane.cust_indices, frontier
-            )
-            fresh = kind[targets] == -1
-            targets, sources = targets[fresh], sources[fresh]
-            if targets.size:
-                t, s = _first_per_target(targets, sources)
-                kind[t] = 2
-                length[t] = dist + 1
-                next_hop[t] = s
-                pending.setdefault(dist + 1, []).append(t)
-                max_dist = max(max_dist, dist + 1)
-            dist += 1
-        return kind, length, next_hop
-
     def _compute_route_arrays_batch(
         self, plane: RoutePlane, d_idx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_compute_route_arrays` for many destinations at once.
+        """The route engine: every node's best route towards each of ``d_idx``.
 
-        Identical phases and tie-breaks, run over flat composite ids
+        Returns ``(m, n)`` per-node-index ``(kind, length, next_hop)`` —
+        kind int8 (-1 unreachable, 0 down, 1 peer, 2 up), length int32,
+        next_hop int32 node index (-1 at the destination). Each phase
+        resolves ties in Gao-Rexford order: kind preference, then length,
+        then lowest next-hop ASN, which in index space is the lowest
+        source index. The phases run over flat composite ids
         ``row * n + node`` so every numpy call amortizes across the whole
         destination batch instead of paying fixed overhead per tree — the
-        difference between ~4x and >10x over the legacy BFS at 2k ASes.
-        Rows are independent (targets never cross a row base), and the
-        rank fed to the lexmin is the *real* node index, so each row
-        resolves ties exactly like the single-destination engine; the
-        parity suite pins all three implementations together. Returns
-        ``(m, n)`` arrays.
+        difference between ~4x and >10x over a per-destination dict BFS
+        at 2k ASes. Rows are independent (targets never cross a row
+        base), and the rank fed to the lexmin is the *real* node index,
+        so each row resolves ties exactly like a single-destination BFS;
+        the parity suite pins the engine to the dict BFS oracle.
         """
         n = plane.n
         m = int(d_idx.size)
@@ -710,10 +580,13 @@ class ASTopology:
             length[t] = r >> np.int64(node_bits)
             next_hop[t] = r & np.int64((1 << node_bits) - 1)
 
-        # Phase 3: customer-link multi-source BFS in ascending distance.
-        # Distance buckets are global across rows — processing order only
-        # matters within a row, and within a row it is exactly the
-        # single-destination engine's order.
+        # Phase 3: provider routes descend customer links from any holder,
+        # processed in ascending distance (multi-source unit-weight BFS).
+        # Within one distance bucket the lexmin on source index reproduces
+        # the dict BFS fixed point: min length first (earlier buckets
+        # win), then lowest next-hop ASN (= lowest index). Buckets are
+        # global across rows — processing order only matters within a
+        # row, and within a row it is exactly a one-destination run.
         holders = np.flatnonzero(kind >= 0)
         hd = length[holders].astype(np.int64)
         order = np.argsort(hd, kind="stable")
@@ -753,7 +626,8 @@ class ASTopology:
     def routes_to_arrays(
         self, dst: int, *, cache: bool = True
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-engine route tree towards ``dst`` (ASN), LRU-cached.
+        """Route tree towards ``dst`` (ASN): the row of
+        ``routes_to_many([dst])``, LRU-cached.
 
         The cache is bounded by :attr:`route_cache_max_bytes`; evictions
         are counted under ``topology.route_cache_evictions`` so a
@@ -764,15 +638,8 @@ class ASTopology:
         if cached is not None:
             self._route_cache.move_to_end(dst)
             return cached
-        plane = self.route_plane()
-        d = plane.index.get(dst)
-        if d is None:
-            # Registry member not yet in the graph: adding the node is what
-            # the legacy dict engine did implicitly via _ensure.
-            self._ensure(dst)
-            plane = self.route_plane()
-            d = plane.index[dst]
-        result = self._compute_route_arrays(plane, d)
+        kind, length, next_hop = self.routes_to_many([dst])
+        result = (kind[0], length[0], next_hop[0])
         if cache:
             self._route_cache[dst] = result
             self._route_cache_bytes += sum(a.nbytes for a in result)
@@ -801,7 +668,7 @@ class ASTopology:
         Shares one CSR plane across all destinations and bypasses the LRU
         (bulk construction must not evict the hot single-destination
         entries), reusing cached rows when present. Uncached rows run
-        through the composite-id batch engine in memory-bounded chunks.
+        through the route engine in memory-bounded chunks.
         """
         for dst in dsts:
             self._ensure(int(dst))
@@ -829,81 +696,6 @@ class ASTopology:
             k, l, h = self._compute_route_arrays_batch(plane, d_idx)
             kind[rows], length[rows], next_hop[rows] = k, l, h
         return kind, length, next_hop
-
-    # -- routing: dict views --------------------------------------------------
-
-    def _routes_to(self, dst: int) -> dict[int, _RouteEntry]:
-        """Dict compatibility view over the array engine's route tree."""
-        kind, length, next_hop = self.routes_to_arrays(dst)
-        plane = self.route_plane()
-        routes: dict[int, _RouteEntry] = {}
-        asns = plane.asns
-        for i in np.flatnonzero(kind >= 0):
-            hop = int(next_hop[i])
-            routes[int(asns[i])] = _RouteEntry(
-                _KIND_CODES[kind[i]], int(length[i]), -1 if hop < 0 else int(asns[hop])
-            )
-        return routes
-
-    def _routes_to_legacy(self, dst: int) -> dict[int, _RouteEntry]:
-        """The original per-destination dict BFS (reference implementation).
-
-        Kept verbatim as the correctness authority for the parity tests
-        and as the baseline of the topology scaling benchmark; hot paths
-        never call it.
-        """
-        self._ensure(dst)
-        routes: dict[int, _RouteEntry] = {dst: _RouteEntry("down", 0, -1)}
-
-        # Phase 1: customer routes propagate up provider links (BFS by length).
-        frontier = [dst]
-        while frontier:
-            nxt: list[int] = []
-            for node in frontier:
-                entry = routes[node]
-                if entry.kind != "down":
-                    continue
-                for prov in self._providers.get(node, ()):
-                    cand = _RouteEntry("down", entry.length + 1, node)
-                    if self._better(cand, routes.get(prov)):
-                        routes[prov] = cand
-                        nxt.append(prov)
-            frontier = nxt
-
-        # Phase 2: peer routes — one lateral step from any down-route holder.
-        down_holders = [(asn, e) for asn, e in routes.items() if e.kind == "down"]
-        for holder, entry in down_holders:
-            for peer in self._peers.get(holder, ()):
-                cand = _RouteEntry("peer", entry.length + 1, holder)
-                if self._better(cand, routes.get(peer)):
-                    routes[peer] = cand
-
-        # Phase 3: provider routes propagate down customer links from any
-        # route holder, repeatedly (BFS over the remaining graph).
-        frontier = sorted(routes)
-        while frontier:
-            nxt = []
-            for node in frontier:
-                entry = routes[node]
-                for cust in self._customers.get(node, ()):
-                    cand = _RouteEntry("up", entry.length + 1, node)
-                    if self._better(cand, routes.get(cust)):
-                        routes[cust] = cand
-                        nxt.append(cust)
-            frontier = nxt
-        return routes
-
-    @staticmethod
-    def _better(candidate: _RouteEntry, incumbent: _RouteEntry | None) -> bool:
-        if incumbent is None:
-            return True
-        ck = ASTopology._KIND_PREFERENCE[candidate.kind]
-        ik = ASTopology._KIND_PREFERENCE[incumbent.kind]
-        if ck != ik:
-            return ck < ik
-        if candidate.length != incumbent.length:
-            return candidate.length < incumbent.length
-        return candidate.next_hop < incumbent.next_hop
 
     def path(self, src: int, dst: int) -> list[int] | None:
         """AS path from ``src`` to ``dst`` (inclusive), or ``None`` if unreachable."""

@@ -99,16 +99,34 @@ def _dict_to_dataclass(cls: type, data: dict[str, Any]) -> Any:
     return cls(**kwargs)
 
 
+#: Fields removed from ScenarioConfig, with the one value an old manifest
+#: may still carry for each: per-event seeding off (the one world still
+#: drawn) and the visibility-storage knobs at their defaults (verdicts
+#: never depended on them). Any other value is an unknown field.
+_RETIRED_FIELDS = {
+    "per_event_seeds": False,
+    "visibility_mode": "auto",
+    "visibility_dense_max_asns": 4096,
+    "visibility_block_columns": 512,
+    "visibility_budget_mb": 256,
+}
+
+
+def _is_retired(name: str, value: Any) -> bool:
+    if name not in _RETIRED_FIELDS:
+        return False
+    accepted = _RETIRED_FIELDS[name]
+    return type(value) is type(accepted) and value == accepted
+
+
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     """Rebuild a scenario config from :func:`config_to_dict` output.
 
-    Missing fields take their defaults; unknown fields raise. Manifests
-    from before per-event seeding was removed carry
-    ``"per_event_seeds": false``, the one world still drawn; that field
-    is dropped so they keep loading.
+    Missing fields take their defaults; unknown fields raise. Retired
+    fields (:data:`_RETIRED_FIELDS`) at their one accepted value are
+    dropped, so manifests saved before their removal keep loading.
     """
-    if data.get("per_event_seeds") is False:
-        data = {k: v for k, v in data.items() if k != "per_event_seeds"}
+    data = {k: v for k, v in data.items() if not _is_retired(k, v)}
     return _dict_to_dataclass(ScenarioConfig, data)
 
 

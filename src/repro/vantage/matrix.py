@@ -1,29 +1,29 @@
-"""Precomputed visibility verdicts over registry AS pairs, dense or blocked.
+"""Precomputed visibility verdicts over registry AS pairs, in column blocks.
 
-:class:`~repro.vantage.visibility.FlowVisibility` answers one (src ASN,
-dst ASN) pair at a time through a memoized oracle; at day-pipeline scale
-the Python loop over unique pairs dominates observation, and each worker
-process re-warms its caches from scratch. :class:`VisibilityMatrix`
-materializes verdicts for whole pair sets instead, with two storage modes:
+Per-pair path walks dominate observation at day-pipeline scale, so
+:class:`VisibilityMatrix` materializes verdicts for whole destination
+columns instead. Each observation view (the IXP fabric, or one
+``(observer ASN, ingress_only)`` ISP view) is stored as transposed
+``bool`` visible / int32 peer-ASN column blocks, built on demand and kept
+in one byte-budgeted LRU (``matrix.blocks_built`` / ``matrix.evictions``
+counters, ``matrix.resident_bytes`` gauge).
 
-* **dense** — full ``(n_asn x n_asn)`` ``visible``/``peer_asn`` tables per
-  observation view, resolved by fancy indexing. The historical fast path;
-  kept bit-identical for every existing workload, but ``bool + int32`` per
-  view means ~5 bytes * n^2 — at 10k ASes that is ~0.5 GB per view, which
-  is why it stops being the default above ``dense_max_asns``.
-* **blocked** — tables are built per destination-column *block* on demand
-  (``block_columns`` columns at a time), stored ``bool``/int32 in a
-  byte-budget LRU. Lookups group query pairs by block, so a day's flow
-  table touches only the destination columns it actually contains.
-  ``matrix.blocks_built`` / ``matrix.evictions`` counters and the
-  ``matrix.resident_bytes`` gauge expose the cache behavior.
+The block width is derived from the registry size and the budget, never
+configured: while three full views (5 bytes per cell) fit the budget, one
+block covers every column and a lookup is a single gather — up to ~4.2k
+ASes at the default 256 MiB, which includes every preset the repo runs.
+Beyond that, blocks are :attr:`VisibilityMatrix.base_block_columns` wide
+(512) and lookups group query pairs by block, so a day's flow table
+touches only the destination columns it actually contains (at 10k ASes a
+full view would be ~0.5 GB).
 
-Both modes share one vectorized column builder: a source's verdict towards
-a destination is either decided by its first hop (the hop crosses the IXP
-fabric / reaches the observer) or inherited from its next hop's verdict,
-so each destination column fills level by level over the route tree's
-length groups — no per-pair Python. Verdicts are bit-identical to the lazy
-oracle's (the test suite asserts parity over all pairs in both modes).
+Every block comes from one vectorized column builder: a source's verdict
+towards a destination is either decided by its first hop (the hop
+crosses the IXP fabric / reaches the observer) or inherited from its next
+hop's verdict, so each destination column fills level by level over the
+route tree's length groups — no per-pair Python. The test suite asserts
+the verdicts equal a per-pair path-walk oracle's, for one block and for
+many.
 """
 
 from __future__ import annotations
@@ -37,20 +37,16 @@ from repro.obs import metrics
 
 __all__ = ["VisibilityMatrix"]
 
-#: Valid storage modes. ``auto`` picks dense below ``dense_max_asns``.
-MODES = ("auto", "dense", "blocked")
-
 _IXP_VIEW = ("ixp",)
 
 
 class VisibilityMatrix:
     """Precomputed ``visible``/``peer_asn`` verdicts over registry ASNs.
 
-    Tables are built lazily per observation view (IXP fabric, or one
-    ``(observer ASN, ingress_only)`` ISP view) and invalidated when the
-    topology gains edges after construction. ASN values outside the
+    Column blocks are built lazily per observation view and dropped when
+    the topology gains edges after construction. ASN values outside the
     registry (e.g. ``-1`` for unresolved addresses) are not covered;
-    callers route those through the lazy oracle fallback.
+    :meth:`index_of` maps them to ``-1`` for callers to handle.
     """
 
     #: Largest ASN value for which a dense ASN -> index lookup table is
@@ -58,30 +54,22 @@ class VisibilityMatrix:
     #: degrades to binary search.
     _LUT_MAX_ASN = 1 << 20
 
-    def __init__(
-        self,
-        topology: ASTopology,
-        *,
-        mode: str = "auto",
-        dense_max_asns: int = 4096,
-        block_columns: int = 512,
-        budget_bytes: int = 256 << 20,
-    ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r} (choose from {'/'.join(MODES)})")
-        if block_columns < 1:
-            raise ValueError("block_columns must be >= 1")
+    #: Byte budget of the column-block LRU, across all views.
+    budget_bytes: int = 256 << 20
+    #: Block width once one block per view no longer fits the budget.
+    base_block_columns: int = 512
+    #: Views one scenario resolves (IXP, tier-1, tier-2): one block covers
+    #: every column while this many full views fit the budget.
+    _BUDGET_VIEWS = 3
+    #: Bytes per stored verdict: ``bool`` visible + int32 peer ASN.
+    _CELL_BYTES = 5
+
+    def __init__(self, topology: ASTopology) -> None:
         self.topology = topology
-        self.mode = mode
-        self.dense_max_asns = int(dense_max_asns)
-        self.block_columns = int(block_columns)
-        self.budget_bytes = int(budget_bytes)
         self._generation = topology.version
         self._asns = np.asarray(topology.asns, dtype=np.int64)
         self._lut = self._build_lut(self._asns)
-        self._ixp: tuple[np.ndarray, np.ndarray] | None = None
-        self._isp: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-        # Blocked store: (view key, block id) -> (visT (C, n), peerT (C, n)).
+        # (view key, block id) -> (visT (C, n), peerT (C, n)).
         self._blocks: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._resident_bytes = 0
         self.blocks_built = 0
@@ -108,8 +96,6 @@ class VisibilityMatrix:
             self._generation = self.topology.version
             self._asns = np.asarray(self.topology.asns, dtype=np.int64)
             self._lut = self._build_lut(self._asns)
-            self._ixp = None
-            self._isp.clear()
             self._blocks.clear()
             self._resident_bytes = 0
 
@@ -120,18 +106,21 @@ class VisibilityMatrix:
         return self._asns
 
     @property
+    def block_columns(self) -> int:
+        """Destination columns per block, derived from ``n`` and the budget."""
+        n = self.asns.size
+        if self._BUDGET_VIEWS * self._CELL_BYTES * n * n <= self.budget_bytes:
+            return max(n, 1)
+        return min(self.base_block_columns, n)
+
+    @property
     def blocked(self) -> bool:
-        """Whether lookups resolve through column blocks instead of dense tables."""
-        self._refresh()
-        if self.mode == "dense":
-            return False
-        if self.mode == "blocked":
-            return True
-        return self._asns.size > self.dense_max_asns
+        """Whether a view spans more than one column block."""
+        return self.block_columns < self.asns.size
 
     @property
     def resident_bytes(self) -> int:
-        """Bytes currently held by the blocked-mode LRU."""
+        """Bytes currently held by the column-block LRU."""
         return self._resident_bytes
 
     def index_of(self, asn_values: np.ndarray) -> np.ndarray:
@@ -189,8 +178,8 @@ class VisibilityMatrix:
             obs_idx = int(np.searchsorted(plane.asns, int(observer_asn)))
             if obs_idx >= n or int(plane.asns[obs_idx]) != int(observer_asn):
                 raise KeyError(f"observer ASN {observer_asn} not in registry")
-        # Bound transient route arrays (9 bytes x C x n) when a dense build
-        # asks for every column at once: recurse in column slices.
+        # Bound transient route arrays (9 bytes x C x n) when a block
+        # spans every column: recurse in column slices.
         max_cols = max(1, (1 << 22) // max(n, 1))
         if C > max_cols:
             visT = np.empty((C, n), dtype=bool)
@@ -262,45 +251,18 @@ class VisibilityMatrix:
         np.copyto(peerT, -1, where=~visT)
         return visT, peerT
 
-    # -- dense tables ---------------------------------------------------------
+    # -- block lookups ------------------------------------------------------
 
-    def ixp_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense IXP verdicts: ``(visible[src, dst], peer_asn[src, dst])``."""
-        self._refresh()
-        if self._ixp is None:
-            visT, peerT = self._build_columns(
-                _IXP_VIEW, np.arange(self._asns.size, dtype=np.int64)
-            )
-            self._ixp = (
-                np.ascontiguousarray(visT.T),
-                np.ascontiguousarray(peerT.T),
-            )
-        return self._ixp
-
-    def isp_tables(self, observer_asn: int, ingress_only: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ISP verdicts for one ``(observer, ingress_only)`` view."""
-        self._refresh()
-        key = (int(observer_asn), bool(ingress_only))
-        cached = self._isp.get(key)
-        if cached is not None:
-            return cached
-        visT, peerT = self._build_columns(
-            ("isp", *key), np.arange(self._asns.size, dtype=np.int64)
-        )
-        self._isp[key] = (np.ascontiguousarray(visT.T), np.ascontiguousarray(peerT.T))
-        return self._isp[key]
-
-    # -- blocked lookups ------------------------------------------------------
-
-    def _block(self, view: tuple, block_id: int) -> tuple[np.ndarray, np.ndarray]:
+    def _block(
+        self, view: tuple, block_id: int, width: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         key = (view, block_id)
         cached = self._blocks.get(key)
         if cached is not None:
             self._blocks.move_to_end(key)
             return cached
-        n = self._asns.size
-        lo = block_id * self.block_columns
-        cols = np.arange(lo, min(lo + self.block_columns, n), dtype=np.int64)
+        lo = block_id * width
+        cols = np.arange(lo, min(lo + width, self._asns.size), dtype=np.int64)
         block = self._build_columns(view, cols)
         self._blocks[key] = block
         self._resident_bytes += block[0].nbytes + block[1].nbytes
@@ -324,25 +286,24 @@ class VisibilityMatrix:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Verdicts for pair index arrays (all indices must be >= 0)."""
         self._refresh()
-        if not self.blocked:
-            if view[0] == "ixp":
-                visible, peer = self.ixp_tables()
-            else:
-                visible, peer = self.isp_tables(view[1], view[2])
-            return visible[src_idx, dst_idx], peer[src_idx, dst_idx].astype(np.int64)
         if view[0] != "ixp" and not self.knows_observer(view[1]):
             raise KeyError(f"observer ASN {view[1]} not in registry")
+        width = self.block_columns
+        if width >= self._asns.size:
+            # One block spans every column: a single transposed gather.
+            visT, peerT = self._block(view, 0, width)
+            return visT[dst_idx, src_idx], peerT[dst_idx, src_idx].astype(np.int64)
         vis_out = np.zeros(src_idx.shape, dtype=bool)
         peer_out = np.full(src_idx.shape, -1, dtype=np.int64)
-        block_ids = dst_idx // self.block_columns
+        block_ids = dst_idx // width
         order = np.argsort(block_ids, kind="stable")
         sorted_ids = block_ids[order]
         uniq, starts = np.unique(sorted_ids, return_index=True)
         stops = np.append(starts[1:], sorted_ids.size)
         for bid, a, b in zip(uniq.tolist(), starts.tolist(), stops.tolist()):
             sel = order[a:b]
-            visT, peerT = self._block(view, int(bid))
-            local = dst_idx[sel] - int(bid) * self.block_columns
+            visT, peerT = self._block(view, int(bid), width)
+            local = dst_idx[sel] - int(bid) * width
             vis_out[sel] = visT[local, src_idx[sel]]
             peer_out[sel] = peerT[local, src_idx[sel]]
         return vis_out, peer_out
@@ -368,21 +329,22 @@ class VisibilityMatrix:
     def warm(self, isp_views: tuple[tuple[int, bool], ...] = ()) -> None:
         """Pre-build what lookups will need (worker-pool initializer hook).
 
-        Dense mode materializes the IXP table plus the given
-        ``(observer_asn, ingress_only)`` ISP views; blocked mode only
-        prepares the CSR route plane and ASN index — blocks stay
-        demand-built so warming never blows the byte budget.
+        Prepares the CSR route plane and ASN index. When one block spans
+        every column, also builds the IXP view's block and those of the
+        given ``(observer_asn, ingress_only)`` ISP views; narrower blocks
+        stay demand-built so warming never blows the byte budget.
         """
         self._refresh()
         self.topology.route_plane()
-        if self.blocked:
+        width = self.block_columns
+        if width < self._asns.size:
             return
-        self.ixp_tables()
+        self._block(_IXP_VIEW, 0, width)
         for observer_asn, ingress_only in isp_views:
-            self.isp_tables(observer_asn, ingress_only)
+            self._block(("isp", int(observer_asn), bool(ingress_only)), 0, width)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        built = ["ixp"] if self._ixp is not None else []
-        built += [f"isp{k}" for k in self._isp]
-        built += [f"{len(self._blocks)} blocks"] if self._blocks else []
-        return f"VisibilityMatrix({self._asns.size} ASNs, built={built or 'none'})"
+        return (
+            f"VisibilityMatrix({self._asns.size} ASNs, {len(self._blocks)} blocks "
+            f"of {self.block_columns} columns)"
+        )

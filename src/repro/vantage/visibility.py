@@ -1,20 +1,17 @@
 """AS-level flow visibility.
 
-Decides, for a (src ASN, dst ASN) pair, whether a flow is seen by a given
-observer and which neighbor AS hands it over. Decisions are pure functions
-of the topology's valley-free routing. Two resolution strategies coexist:
-
-* a lazy memoized oracle (one pair at a time, per-pair path walk), always
-  available and the authority on correctness;
-* an optional dense :class:`~repro.vantage.matrix.VisibilityMatrix` fast
-  path that resolves whole flow tables with fancy indexing, falling back
-  to the oracle for out-of-registry ASNs (e.g. ``-1`` unknowns).
+Decides, for aligned (src ASN, dst ASN) arrays, whether each flow is seen
+by a given observer and which neighbor AS hands it over. Decisions are
+pure functions of the topology's valley-free routing, resolved through
+one :class:`~repro.vantage.matrix.VisibilityMatrix` per topology. Rows
+whose source or destination ASN lies outside the registry (e.g. ``-1``
+for unresolved addresses), and every row of an observer outside it,
+resolve to not-visible with peer ``-1``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
@@ -22,100 +19,22 @@ from repro.netmodel.topology import ASTopology
 from repro.obs import metrics
 from repro.vantage.matrix import VisibilityMatrix
 
-__all__ = ["Visibility", "FlowVisibility"]
-
-
-@dataclass(frozen=True)
-class Visibility:
-    """Observation verdict for one (src ASN, dst ASN) pair.
-
-    Attributes:
-        visible: whether the observer sees the flow at all.
-        peer_asn: the neighbor AS handing the flow to the observer
-            (-1 when invisible or the observer originates the flow).
-    """
-
-    visible: bool
-    peer_asn: int = -1
+__all__ = ["FlowVisibility"]
 
 
 class FlowVisibility:
-    """Visibility oracle for one topology.
+    """Vectorized visibility verdicts for one topology.
 
-    With ``matrix`` set (how :class:`~repro.scenario.scenario.Scenario`
-    constructs it), the vectorized mask methods resolve registry AS pairs
-    by fancy indexing into the precomputed tables and only consult the
-    lazy per-pair oracle for ASNs outside the registry. The
-    ``visibility.matrix_hits`` / ``visibility.fallback_lookups`` counters
-    record the split so profiles expose a topology that silently bypasses
-    the matrix.
+    The mask methods resolve registry AS pairs through :attr:`matrix`;
+    the ``visibility.matrix_hits`` / ``visibility.fallback_lookups``
+    counters record how many rows it resolved and how many fell outside
+    the registry (and were therefore not visible), so profiles expose a
+    traffic mix that silently misses the topology.
     """
 
-    def __init__(self, topology: ASTopology, matrix: VisibilityMatrix | None = None) -> None:
+    def __init__(self, topology: ASTopology) -> None:
         self.topology = topology
-        self.matrix = matrix
-        self._ixp_cached = lru_cache(maxsize=1 << 18)(self._ixp_visibility)
-        self._isp_cached = lru_cache(maxsize=1 << 18)(self._isp_visibility)
-
-    # -- IXP ------------------------------------------------------------------
-
-    def _ixp_visibility(self, src_asn: int, dst_asn: int) -> Visibility:
-        """A flow crosses the IXP iff its AS path uses an IXP peering edge.
-
-        The handover peer is the src-side member of that edge (the member
-        whose router forwards the packets onto the fabric).
-        """
-        if src_asn == dst_asn or src_asn < 0 or dst_asn < 0:
-            return Visibility(False)
-        path = self.topology.path(src_asn, dst_asn)
-        if path is None:
-            return Visibility(False)
-        for a, b in zip(path, path[1:]):
-            if self.topology.is_ixp_peering(a, b):
-                return Visibility(True, peer_asn=a)
-        return Visibility(False)
-
-    def at_ixp(self, src_asn: int, dst_asn: int) -> Visibility:
-        return self._ixp_cached(int(src_asn), int(dst_asn))
-
-    # -- ISP ------------------------------------------------------------------
-
-    def _isp_visibility(
-        self, observer_asn: int, src_asn: int, dst_asn: int, ingress_only: bool
-    ) -> Visibility:
-        """Whether an ISP's border routers see the flow.
-
-        The flow is visible when ``observer_asn`` lies on the AS path. With
-        ``ingress_only`` (tier-1 trace), flows sourced inside the
-        observer's own network or its customer cone are excluded — the
-        paper's tier-1 trace contains no end-user/customer-sourced
-        traffic. The handover peer is the AS immediately before the
-        observer on the path (or after, for egress-side observation).
-        """
-        if src_asn < 0 or dst_asn < 0:
-            return Visibility(False)
-        if src_asn == dst_asn:
-            return Visibility(False)
-        path = self.topology.path(src_asn, dst_asn)
-        if path is None or observer_asn not in path:
-            return Visibility(False)
-        if ingress_only and src_asn in self.topology.customer_cone(observer_asn):
-            return Visibility(False)
-        idx = path.index(observer_asn)
-        if idx > 0:
-            return Visibility(True, peer_asn=path[idx - 1])
-        # Observer originates the flow (egress only; tier-2 both-directions).
-        if ingress_only:
-            return Visibility(False)
-        peer = path[idx + 1] if len(path) > 1 else -1
-        return Visibility(True, peer_asn=peer)
-
-    def at_isp(
-        self, observer_asn: int, src_asn: int, dst_asn: int, ingress_only: bool
-    ) -> Visibility:
-        return self._isp_cached(int(observer_asn), int(src_asn), int(dst_asn), bool(ingress_only))
-
-    # -- vectorized helpers --------------------------------------------------------
+        self.matrix = VisibilityMatrix(topology)
 
     def ixp_mask(
         self,
@@ -123,17 +42,13 @@ class FlowVisibility:
         dst_asns: np.ndarray,
         pair_index: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`at_ixp` -> (visible mask, peer ASN array).
+        """IXP verdicts -> (visible mask, peer ASN array).
 
         ``pair_index`` optionally carries precomputed matrix indices for
         the same ASN arrays (from ``matrix.pair_index``), so repeated
         observations of one day table share the resolution work.
         """
-        if self.matrix is None:
-            return self._mask(src_asns, dst_asns, self.at_ixp)
-        return self._matrix_mask(
-            src_asns, dst_asns, self.matrix.lookup_ixp, self.at_ixp, pair_index
-        )
+        return self._resolve(src_asns, dst_asns, self.matrix.lookup_ixp, pair_index)
 
     def isp_mask(
         self,
@@ -143,31 +58,23 @@ class FlowVisibility:
         ingress_only: bool,
         pair_index: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`at_isp` -> (visible mask, peer ASN array)."""
+        """Verdicts of one ISP's border routers -> (visible mask, peer ASN array)."""
+        lookup = None
+        if self.matrix.knows_observer(observer_asn):
+            lookup = partial(self.matrix.lookup_isp, observer_asn, ingress_only)
+        return self._resolve(src_asns, dst_asns, lookup, pair_index)
 
-        def check(src: int, dst: int) -> Visibility:
-            return self.at_isp(observer_asn, src, dst, ingress_only)
-
-        if self.matrix is not None and self.matrix.knows_observer(observer_asn):
-
-            def lookup(src_idx: np.ndarray, dst_idx: np.ndarray):
-                return self.matrix.lookup_isp(observer_asn, ingress_only, src_idx, dst_idx)
-
-            return self._matrix_mask(src_asns, dst_asns, lookup, check, pair_index)
-        return self._mask(src_asns, dst_asns, check)
-
-    def _matrix_mask(
+    def _resolve(
         self,
         src_asns: np.ndarray,
         dst_asns: np.ndarray,
         lookup,
-        check,
         pair_index: tuple[np.ndarray, np.ndarray] | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Resolve registry pairs through the matrix; route the rest through
-        the oracle. ``lookup`` maps aligned (src, dst) index arrays to
-        ``(visible, peer)`` — dense fancy indexing or blocked column fetches,
-        the split is the matrix's concern."""
+        """Resolve registry pairs through ``lookup``; every other row (and
+        every row when ``lookup`` is ``None``) is ``(False, -1)``.
+        ``lookup`` maps aligned (src, dst) index arrays to
+        ``(visible, peer)``."""
         src_asns = np.asarray(src_asns, dtype=np.int64)
         dst_asns = np.asarray(dst_asns, dtype=np.int64)
         if src_asns.shape != dst_asns.shape:
@@ -178,42 +85,21 @@ class FlowVisibility:
             src_idx, dst_idx = pair_index
             if src_idx.shape != src_asns.shape or dst_idx.shape != dst_asns.shape:
                 raise ValueError("pair_index does not match the ASN arrays")
-        known = (src_idx >= 0) & (dst_idx >= 0)
-        if known.all():
+        if lookup is None:  # unknown observer: no row is visible
+            known = np.zeros(src_asns.shape, dtype=bool)
+        else:
+            known = (src_idx >= 0) & (dst_idx >= 0)
+        if known.size and known.all():
             vis, peers = lookup(src_idx, dst_idx)
             n_fallback = 0
         else:
-            vis = np.zeros(src_asns.size, dtype=bool)
-            peers = np.full(src_asns.size, -1, dtype=np.int64)
-            vis[known], peers[known] = lookup(src_idx[known], dst_idx[known])
-            unknown = ~known
-            n_fallback = int(unknown.sum())
-            f_vis, f_peers = self._mask(src_asns[unknown], dst_asns[unknown], check)
-            vis[unknown] = f_vis
-            peers[unknown] = f_peers
+            vis = np.zeros(src_asns.shape, dtype=bool)
+            peers = np.full(src_asns.shape, -1, dtype=np.int64)
+            if known.any():
+                vis[known], peers[known] = lookup(src_idx[known], dst_idx[known])
+            n_fallback = int(src_asns.size - known.sum())
         registry = metrics()
         if registry.enabled:
             registry.inc("visibility.matrix_hits", int(src_asns.size) - n_fallback)
             registry.inc("visibility.fallback_lookups", n_fallback)
         return vis, peers
-
-    @staticmethod
-    def _mask(src_asns, dst_asns, check) -> tuple[np.ndarray, np.ndarray]:
-        src_asns = np.asarray(src_asns, dtype=np.int64)
-        dst_asns = np.asarray(dst_asns, dtype=np.int64)
-        if src_asns.shape != dst_asns.shape:
-            raise ValueError("src and dst ASN arrays must align")
-        pairs = src_asns.astype(np.int64) << np.int64(32) | (dst_asns & np.int64(0xFFFFFFFF))
-        unique_pairs, inverse = np.unique(pairs, return_inverse=True)
-        vis = np.empty(unique_pairs.size, dtype=bool)
-        peers = np.empty(unique_pairs.size, dtype=np.int64)
-        for i, key in enumerate(unique_pairs):
-            src = int(key >> np.int64(32))
-            dst = int(np.int64(key) & np.int64(0xFFFFFFFF))
-            # Recover sign of dst (ASNs can be -1 for unknown).
-            if dst >= 1 << 31:
-                dst -= 1 << 32
-            verdict = check(src, dst)
-            vis[i] = verdict.visible
-            peers[i] = verdict.peer_asn
-        return vis[inverse], peers[inverse]

@@ -1,5 +1,7 @@
 """Parallel day executor, merge protocol, content hash, and day cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.core.parallel import (
 )
 from repro.core.pipeline import TrafficSelector, collect_daily_port_series, collect_streaming
 from repro.core.streaming import StreamingAnalyzer
+from repro.experiments.base import ExperimentConfig
 from repro.flows.sketch import PerKeyCardinality
 from repro.netmodel.topology import TopologyConfig
 from repro.scenario import Scenario, ScenarioConfig
@@ -204,6 +207,42 @@ class TestContentHash:
 
     def test_any_field_changes_hash(self):
         assert _config().content_hash() != _config(scale=0.2).content_hash()
+
+    @pytest.mark.parametrize(
+        "preset, digest",
+        [
+            ("small", "2b982a0115ab9ba7c28113f8ed37baf99341a40391eab7fa446e6a96a7c15f93"),
+            ("paper", "ec61b59f4f5a23ba800ae0069494dbeca942298f6b5b93f0c69e46df0d00b921"),
+        ],
+    )
+    def test_preset_hashes_pinned(self, preset, digest):
+        """Day caches, goldens and the drift baseline are keyed by these."""
+        assert ExperimentConfig(preset=preset).scenario_config().content_hash() == digest
+
+    def test_hash_memoized_per_instance(self, monkeypatch):
+        import hashlib
+        import json
+
+        from repro.scenario import serialize
+
+        config = _config()
+        fresh = serialize.config_to_dict(config)
+        fresh["topology"].pop("sampler")  # hash-neutral at its default
+        payload = json.dumps(fresh, sort_keys=True, separators=(",", ":"))
+        expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+        calls = []
+        real = serialize.config_to_dict
+        monkeypatch.setattr(
+            serialize, "config_to_dict", lambda c: calls.append(c) or real(c)
+        )
+        assert config.content_hash() == expected
+        assert config.content_hash() == expected
+        assert len(calls) == 1  # the second call reads the memo
+        replaced = dataclasses.replace(config, scale=0.2)
+        assert replaced.content_hash() == _config(scale=0.2).content_hash()
+        assert replaced.content_hash() != expected
+        assert len(calls) == 3  # replace() and the fresh config each hashed once
 
 
 class TestDayResultCache:

@@ -1,10 +1,12 @@
 """Tests for scenario-config serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.booter.market import MarketConfig
+from repro.experiments.base import ExperimentConfig
 from repro.netmodel.topology import TopologyConfig
 from repro.scenario import Scenario, ScenarioConfig
 from repro.scenario.serialize import (
@@ -13,6 +15,18 @@ from repro.scenario.serialize import (
     load_config,
     save_config,
 )
+
+
+#: The small preset's manifest as ``save_config`` wrote it while the
+#: config still carried the four ``visibility_*`` storage knobs.
+OLD_MANIFEST = Path(__file__).parent / "fixtures" / "small_preset_manifest.json"
+
+_VISIBILITY_KNOBS = {
+    "visibility_mode": "auto",
+    "visibility_dense_max_asns": 4096,
+    "visibility_block_columns": 512,
+    "visibility_budget_mb": 256,
+}
 
 
 def custom_config():
@@ -90,3 +104,33 @@ class TestValidation:
         assert config_from_dict({**data, "per_event_seeds": False}) == custom_config()
         with pytest.raises(ValueError, match="unknown fields"):
             config_from_dict({**data, "per_event_seeds": True})
+
+    def test_manifest_with_visibility_knobs_loads(self):
+        # Manifests saved while the visibility-storage knobs existed carry
+        # all four at their defaults; they load to the same config (and
+        # hash), and resave without the knobs.
+        data = json.loads(OLD_MANIFEST.read_text())
+        assert {k: data[k] for k in _VISIBILITY_KNOBS} == _VISIBILITY_KNOBS
+        config = load_config(OLD_MANIFEST)
+        small = ExperimentConfig().scenario_config()
+        assert config == small
+        assert config.content_hash() == small.content_hash()
+        resaved = config_to_dict(config)
+        assert not set(_VISIBILITY_KNOBS) & set(resaved)
+        assert {**resaved, **_VISIBILITY_KNOBS} == data
+        assert config_from_dict(data) == config
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("visibility_mode", "dense"),
+            ("visibility_dense_max_asns", 0),
+            ("visibility_block_columns", 64),
+            ("visibility_budget_mb", 512),
+            ("visibility_budget_mb", 256.0),
+        ],
+    )
+    def test_retired_field_other_values_rejected(self, field, value):
+        data = config_to_dict(custom_config())
+        with pytest.raises(ValueError, match="unknown fields"):
+            config_from_dict({**data, field: value})

@@ -1,8 +1,9 @@
-"""Parity of the vectorized topology/visibility planes with the legacy engines.
+"""Parity of the vectorized topology/visibility planes with the oracles.
 
-The array-based Gao-Rexford route engine and the blocked visibility
-matrix are pure representation changes: over any topology they must
-reproduce the legacy dict BFS and the per-pair oracle bit for bit. These
+The batched Gao-Rexford route engine and the column-block visibility
+matrix must reproduce the per-destination dict BFS and the per-pair
+path-walk oracle (``tests/oracles``) bit for bit over any topology, and
+the matrix must give the same verdicts whatever its block width. These
 properties are asserted over randomized small worlds (hypothesis) plus
 directed regressions for the LRU bounds and index fallbacks.
 """
@@ -12,11 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.netmodel.topology import ASTopology, TopologyConfig, build_topology
+from repro.netmodel.topology import TopologyConfig, build_topology
 from repro.obs import MetricsRegistry, use_metrics
 from repro.stats.rng import SeedSequenceTree
 from repro.vantage.matrix import VisibilityMatrix
 from repro.vantage.visibility import FlowVisibility
+from tests.oracles.routes import routes_to, routes_to_legacy
+from tests.oracles.visibility import OracleVisibility
 
 slow_settings = settings(
     max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -41,6 +44,15 @@ def _entry_tuples(routes):
     return {asn: (e.kind, e.length, e.next_hop) for asn, e in routes.items()}
 
 
+def _many_blocks(topo, width):
+    """A matrix forced down to ``width``-column blocks: with a budget below
+    one full view, the derived width falls to the base width."""
+    matrix = VisibilityMatrix(topo)
+    matrix.base_block_columns = width
+    matrix.budget_bytes = 1
+    return matrix
+
+
 class TestRouteEngineParity:
     @slow_settings
     @given(config=topo_configs, seed=st.integers(0, 2**32 - 1))
@@ -48,8 +60,8 @@ class TestRouteEngineParity:
         """Every destination's route tree is identical across engines."""
         _, topo = _world(config, seed)
         for dst in topo.asns:
-            assert _entry_tuples(topo._routes_to(dst)) == _entry_tuples(
-                topo._routes_to_legacy(dst)
+            assert _entry_tuples(routes_to(topo, dst)) == _entry_tuples(
+                routes_to_legacy(topo, dst)
             ), dst
 
     @slow_settings
@@ -67,7 +79,7 @@ class TestRouteEngineParity:
     def test_path_uses_seen_set_and_matches_route_tree(self):
         _, topo = _world(TopologyConfig(n_tier1=3, n_tier2=6, n_stub=20), 11)
         for dst in topo.asns[:10]:
-            routes = topo._routes_to_legacy(dst)
+            routes = routes_to_legacy(topo, dst)
             for src in topo.asns:
                 path = topo.path(src, dst)
                 if src == dst:
@@ -111,8 +123,8 @@ class TestRouteCacheBounds:
         assert topo._route_cache_bytes <= topo.route_cache_max_bytes
         # Evicted destinations recompute to the same tree.
         first = topo.asns[0]
-        assert _entry_tuples(topo._routes_to(first)) == _entry_tuples(
-            topo._routes_to_legacy(first)
+        assert _entry_tuples(routes_to(topo, first)) == _entry_tuples(
+            routes_to_legacy(topo, first)
         )
 
     def test_cache_cleared_on_edge_mutation(self):
@@ -126,24 +138,26 @@ class TestRouteCacheBounds:
 
 
 class TestMatrixModeParity:
+    """One block spanning every column == many narrow blocks == oracle."""
+
     @slow_settings
     @given(
         config=topo_configs,
         seed=st.integers(0, 2**32 - 1),
         block_columns=st.sampled_from([1, 3, 8, 64]),
     )
-    def test_blocked_matches_dense_and_oracle_all_views(
+    def test_one_block_matches_many_blocks_and_oracle(
         self, config, seed, block_columns
     ):
-        """All pairs, all observer views, dense == blocked == oracle."""
+        """All pairs, all observer views, one block == many blocks == oracle."""
         _, topo = _world(config, seed)
         asns = np.asarray(sorted(topo.asns))
         n = asns.size
-        dense = VisibilityMatrix(topo, mode="dense")
-        blocked = VisibilityMatrix(
-            topo, mode="blocked", block_columns=block_columns
-        )
-        oracle = FlowVisibility(topo)
+        one = VisibilityMatrix(topo)
+        many = _many_blocks(topo, block_columns)
+        assert not one.blocked
+        assert many.block_columns == min(block_columns, n)
+        oracle = OracleVisibility(topo)
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         si, di = ii.ravel(), jj.ravel()
 
@@ -158,64 +172,75 @@ class TestMatrixModeParity:
             views.append(("isp", member, False))
         for kind, obs, ingress in views:
             if kind == "ixp":
-                dv, dp = dense.lookup_ixp(si, di)
-                bv, bp = blocked.lookup_ixp(si, di)
+                ov, op = one.lookup_ixp(si, di)
+                mv, mp = many.lookup_ixp(si, di)
                 check = lambda s, d: oracle.at_ixp(s, d)
             else:
-                dv, dp = dense.lookup_isp(obs, ingress, si, di)
-                bv, bp = blocked.lookup_isp(obs, ingress, si, di)
+                ov, op = one.lookup_isp(obs, ingress, si, di)
+                mv, mp = many.lookup_isp(obs, ingress, si, di)
                 check = lambda s, d: oracle.at_isp(obs, s, d, ingress)
-            np.testing.assert_array_equal(dv, bv)
-            np.testing.assert_array_equal(dp, bp)
+            np.testing.assert_array_equal(ov, mv)
+            np.testing.assert_array_equal(op, mp)
             # Oracle spot-parity on a stride (full n^2 would be slow in Python).
             for k in range(0, si.size, max(1, si.size // 64)):
                 verdict = check(int(asns[si[k]]), int(asns[di[k]]))
-                assert dv[k] == verdict.visible, (kind, obs, ingress, k)
-                assert dp[k] == verdict.peer_asn, (kind, obs, ingress, k)
+                assert ov[k] == verdict.visible, (kind, obs, ingress, k)
+                assert op[k] == verdict.peer_asn, (kind, obs, ingress, k)
 
     def test_block_lru_evicts_and_counts(self):
         _, topo = _world(TopologyConfig(n_tier1=3, n_tier2=6, n_stub=24), 21)
         n = len(topo.asns)
-        dense = VisibilityMatrix(topo, mode="dense")
+        one = VisibilityMatrix(topo)
         # Budget ~2 single-column blocks: scanning all columns must evict.
-        tiny = VisibilityMatrix(
-            topo, mode="blocked", block_columns=1, budget_bytes=2 * n * 5 + 1
-        )
+        tiny = VisibilityMatrix(topo)
+        tiny.base_block_columns = 1
+        tiny.budget_bytes = 2 * n * 5 + 1
+        assert tiny.blocked and tiny.block_columns == 1
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         si, di = ii.ravel(), jj.ravel()
         with use_metrics(MetricsRegistry()) as registry:
             tv, tp = tiny.lookup_ixp(si, di)
-        np.testing.assert_array_equal(tv, dense.lookup_ixp(si, di)[0])
-        np.testing.assert_array_equal(tp, dense.lookup_ixp(si, di)[1])
+        np.testing.assert_array_equal(tv, one.lookup_ixp(si, di)[0])
+        np.testing.assert_array_equal(tp, one.lookup_ixp(si, di)[1])
         assert tiny.blocks_built == n
         assert tiny.evictions >= n - 3
         assert tiny.resident_bytes <= tiny.budget_bytes
         assert registry.counter("matrix.blocks_built") == n
         assert registry.counter("matrix.evictions") == tiny.evictions
 
-    def test_blocked_mode_day_observation_matches_dense(self):
-        """A full observation day resolves identically in both modes."""
+    def test_block_width_derived_from_size_and_budget(self):
+        """One block up to the 4096-AS mark at 256 MiB; 512 columns at 10k."""
+        _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), 23)
+        matrix = VisibilityMatrix(topo)
+        assert matrix.budget_bytes == 256 << 20
+        assert matrix.block_columns == len(topo.asns)
+        for n, width in ((96, 96), (237, 237), (4096, 4096), (10_000, 512)):
+            matrix._asns = np.arange(n, dtype=np.int64)
+            assert matrix.block_columns == width, n
+            assert matrix.blocked == (width < n), n
+
+    def test_many_blocks_day_observation_matches_one_block(self, monkeypatch):
+        """A full observation day resolves identically at any block width."""
         from repro.scenario import Scenario, ScenarioConfig
 
-        base = dict(seed=77, scale=0.05, n_days=82)
-        topo_cfg = TopologyConfig(n_tier1=3, n_tier2=8, n_stub=30)
-        dense_sc = Scenario(ScenarioConfig(**base, topology=topo_cfg))
-        blocked_sc = Scenario(
-            ScenarioConfig(
-                **base,
-                topology=topo_cfg,
-                visibility_mode="blocked",
-                visibility_block_columns=5,
-            )
+        config = ScenarioConfig(
+            seed=77,
+            scale=0.05,
+            n_days=82,
+            topology=TopologyConfig(n_tier1=3, n_tier2=8, n_stub=30),
         )
-        assert dense_sc.visibility.matrix.blocked is False
-        assert blocked_sc.visibility.matrix.blocked is True
+        one_sc = Scenario(config)
+        many_sc = Scenario(config)
+        monkeypatch.setattr(many_sc.visibility.matrix, "budget_bytes", 1)
+        monkeypatch.setattr(many_sc.visibility.matrix, "base_block_columns", 5)
+        assert one_sc.visibility.matrix.blocked is False
+        assert many_sc.visibility.matrix.blocked is True
         for day in (79, 80):
-            dense_traffic = dense_sc.day_traffic(day)
-            blocked_traffic = blocked_sc.day_traffic(day)
+            one_traffic = one_sc.day_traffic(day)
+            many_traffic = many_sc.day_traffic(day)
             for vantage in ("ixp", "tier1", "tier2"):
-                w = dense_sc.observe_day(vantage, dense_traffic)
-                g = blocked_sc.observe_day(vantage, blocked_traffic)
+                w = one_sc.observe_day(vantage, one_traffic)
+                g = many_sc.observe_day(vantage, many_traffic)
                 assert len(w) == len(g), (day, vantage)
                 for col in ("src_asn", "dst_asn", "peer_asn", "bytes"):
                     np.testing.assert_array_equal(
@@ -224,15 +249,18 @@ class TestMatrixModeParity:
 
     def test_unknown_observer_raises_in_blocked_mode(self):
         _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), 31)
-        blocked = VisibilityMatrix(topo, mode="blocked")
-        with pytest.raises(KeyError):
-            blocked.lookup_isp(999_999, False, np.zeros(1, np.int64), np.zeros(1, np.int64))
-        assert not blocked.knows_observer(999_999)
-        assert blocked.knows_observer(sorted(topo.asns)[0])
+        for width in (None, 3):
+            matrix = VisibilityMatrix(topo) if width is None else _many_blocks(topo, width)
+            with pytest.raises(KeyError):
+                matrix.lookup_isp(
+                    999_999, False, np.zeros(1, np.int64), np.zeros(1, np.int64)
+                )
+            assert not matrix.knows_observer(999_999)
+            assert matrix.knows_observer(sorted(topo.asns)[0])
 
 
 class TestIndexOfFallbacks:
-    """``index_of`` must flag out-of-registry ASNs in both lookup modes."""
+    """``index_of`` must flag out-of-registry ASNs with and without the LUT."""
 
     def _matrix(self, monkeypatch, force_searchsorted):
         _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), 41)
@@ -260,8 +288,8 @@ class TestIndexOfFallbacks:
         _, topo = _world(TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), 41)
         if force_searchsorted:
             monkeypatch.setattr(VisibilityMatrix, "_LUT_MAX_ASN", 1)
-        vis = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        oracle = FlowVisibility(topo)
+        vis = FlowVisibility(topo)
+        oracle = OracleVisibility(topo)
         asns = sorted(topo.asns)
         src = np.array([asns[0], -1, 999_999, asns[2]], dtype=np.int64)
         dst = np.array([asns[3], asns[1], asns[0], -1], dtype=np.int64)

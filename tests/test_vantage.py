@@ -16,6 +16,7 @@ from repro.vantage.isp import ISPVantagePoint
 from repro.vantage.ixp import IXPVantagePoint
 from repro.vantage.observatory import IXPObservatory
 from repro.vantage.visibility import FlowVisibility
+from tests.oracles.visibility import OracleVisibility, Visibility
 
 
 @pytest.fixture
@@ -40,6 +41,26 @@ def small_topo():
     return reg, topo
 
 
+def ixp_verdict(topo, src, dst) -> Visibility:
+    """One pair's IXP verdict, asserted equal via the production mask and
+    the per-pair oracle."""
+    mask, peers = FlowVisibility(topo).ixp_mask(np.array([src]), np.array([dst]))
+    verdict = OracleVisibility(topo).at_ixp(src, dst)
+    assert (bool(mask[0]), int(peers[0])) == (verdict.visible, verdict.peer_asn)
+    return verdict
+
+
+def isp_verdict(topo, observer, src, dst, ingress_only) -> Visibility:
+    """One pair's ISP verdict, asserted equal via the production mask and
+    the per-pair oracle."""
+    mask, peers = FlowVisibility(topo).isp_mask(
+        observer, np.array([src]), np.array([dst]), ingress_only
+    )
+    verdict = OracleVisibility(topo).at_isp(observer, src, dst, ingress_only)
+    assert (bool(mask[0]), int(peers[0])) == (verdict.visible, verdict.peer_asn)
+    return verdict
+
+
 def flows_for_pairs(pairs, packets=100):
     n = len(pairs)
     return FlowTable(
@@ -61,27 +82,24 @@ def flows_for_pairs(pairs, packets=100):
 class TestFlowVisibility:
     def test_ixp_sees_cross_member_traffic(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        v = vis.at_ixp(21, 12)  # 21 -> 11 -> (IXP) -> 12
+        v = ixp_verdict(topo, 21, 12)  # 21 -> 11 -> (IXP) -> 12
         assert v.visible
         assert v.peer_asn == 11
 
     def test_ixp_blind_to_transit_paths(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        assert not vis.at_ixp(21, 31).visible  # goes 21-11-1-2-31, no IXP edge
-        assert not vis.at_ixp(1, 2).visible  # private tier-1 peering
+        assert not ixp_verdict(topo, 21, 31).visible  # goes 21-11-1-2-31, no IXP edge
+        assert not ixp_verdict(topo, 1, 2).visible  # private tier-1 peering
 
     def test_ixp_same_as_invisible(self, small_topo):
         _, topo = small_topo
-        assert not FlowVisibility(topo).at_ixp(11, 11).visible
+        assert not ixp_verdict(topo, 11, 11).visible
 
     def test_isp_on_path_visible(self, small_topo):
         # 31 -> 21 routes 31-2-1-11-21, crossing AS1; 31 is outside AS1's
         # customer cone, so the tier-1 ingress-only trace contains it.
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        v = vis.at_isp(1, 31, 21, ingress_only=True)
+        v = isp_verdict(topo, 1, 31, 21, ingress_only=True)
         assert v.visible
         assert v.peer_asn == 2
 
@@ -89,36 +107,32 @@ class TestFlowVisibility:
         # 21 -> 31 crosses AS1 too, but 21 sits in AS1's customer cone, so
         # the ingress-only trace (no customer-sourced traffic) drops it.
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        assert not vis.at_isp(1, 21, 31, ingress_only=True).visible
-        assert vis.at_isp(1, 21, 31, ingress_only=False).visible
+        assert not isp_verdict(topo, 1, 21, 31, ingress_only=True).visible
+        assert isp_verdict(topo, 1, 21, 31, ingress_only=False).visible
 
     def test_isp_off_path_invisible(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        assert not vis.at_isp(2, 21, 12, ingress_only=True).visible
+        assert not isp_verdict(topo, 2, 21, 12, ingress_only=True).visible
 
     def test_ingress_only_excludes_customer_sourced(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
         # 11 is in AS1's customer cone: tier-1 ingress-only excludes it...
-        assert not vis.at_isp(1, 11, 31, ingress_only=True).visible
+        assert not isp_verdict(topo, 1, 11, 31, ingress_only=True).visible
         # ...but the tier-2 style (both directions) includes it.
-        assert vis.at_isp(1, 11, 31, ingress_only=False).visible
+        assert isp_verdict(topo, 1, 11, 31, ingress_only=False).visible
 
     def test_unknown_asn_invisible(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
-        assert not vis.at_ixp(-1, 12).visible
-        assert not vis.at_isp(1, -1, 31, ingress_only=False).visible
+        assert not ixp_verdict(topo, -1, 12).visible
+        assert not isp_verdict(topo, 1, -1, 31, ingress_only=False).visible
 
     def test_vectorized_matches_scalar(self, small_topo):
         _, topo = small_topo
-        vis = FlowVisibility(topo)
+        oracle = OracleVisibility(topo)
         srcs = np.array([21, 21, 1, -1])
         dsts = np.array([12, 31, 2, 12])
-        mask, peers = vis.ixp_mask(srcs, dsts)
-        expected = [vis.at_ixp(s, d) for s, d in zip(srcs, dsts)]
+        mask, peers = FlowVisibility(topo).ixp_mask(srcs, dsts)
+        expected = [oracle.at_ixp(s, d) for s, d in zip(srcs, dsts)]
         np.testing.assert_array_equal(mask, [e.visible for e in expected])
         np.testing.assert_array_equal(peers, [e.peer_asn for e in expected])
 

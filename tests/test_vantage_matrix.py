@@ -1,4 +1,4 @@
-"""VisibilityMatrix: parity with the lazy oracle, indexing, invalidation."""
+"""VisibilityMatrix: parity with the per-pair oracle, indexing, invalidation."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,15 @@ from repro.scenario import Scenario, ScenarioConfig
 from repro.stats.rng import SeedSequenceTree
 from repro.vantage.matrix import VisibilityMatrix
 from repro.vantage.visibility import FlowVisibility
+from tests.oracles.visibility import OracleVisibility
+
+
+def _all_pairs(matrix, lookup):
+    """``lookup`` over every (src, dst) index pair, as ``(n, n)`` tables."""
+    n = matrix.asns.size
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    visible, peer = lookup(ii.ravel(), jj.ravel())
+    return visible.reshape(n, n), peer.reshape(n, n)
 
 
 @pytest.fixture(scope="module")
@@ -23,13 +32,13 @@ def tiny_world():
 
 
 class TestOracleParity:
-    """The dense tables must be bit-identical to the per-pair oracle."""
+    """Matrix verdicts must be bit-identical to the per-pair oracle."""
 
     def test_ixp_all_pairs(self, tiny_world):
         topo = tiny_world.topology
         matrix = VisibilityMatrix(topo)
-        oracle = FlowVisibility(topo)  # no matrix: pure lazy path
-        visible, peer = matrix.ixp_tables()
+        oracle = OracleVisibility(topo)
+        visible, peer = _all_pairs(matrix, matrix.lookup_ixp)
         asns = matrix.asns.tolist()
         for i, src in enumerate(asns):
             for j, dst in enumerate(asns):
@@ -41,9 +50,11 @@ class TestOracleParity:
     def test_isp_all_pairs(self, tiny_world, ingress_only):
         topo = tiny_world.topology
         matrix = VisibilityMatrix(topo)
-        oracle = FlowVisibility(topo)
+        oracle = OracleVisibility(topo)
         observer = tiny_world.tier1.asn if ingress_only else tiny_world.tier2.asn
-        visible, peer = matrix.isp_tables(observer, ingress_only)
+        visible, peer = _all_pairs(
+            matrix, lambda s, d: matrix.lookup_isp(observer, ingress_only, s, d)
+        )
         asns = matrix.asns.tolist()
         for i, src in enumerate(asns):
             for j, dst in enumerate(asns):
@@ -62,11 +73,11 @@ class TestOracleParity:
     def test_unknown_observer_raises(self, tiny_world):
         matrix = VisibilityMatrix(tiny_world.topology)
         with pytest.raises(KeyError):
-            matrix.isp_tables(999_999, True)
+            matrix.lookup_isp(999_999, True, np.zeros(1, np.int64), np.zeros(1, np.int64))
 
 
 class TestMaskFallback:
-    """Mask methods agree with the oracle when ASNs fall outside the registry."""
+    """Out-of-registry ASNs and observers resolve to ``(False, -1)``, as in the oracle."""
 
     def _pairs_with_unknowns(self, topo):
         asns = sorted(topo.asns)
@@ -76,8 +87,8 @@ class TestMaskFallback:
 
     def test_ixp_mask_matches_oracle(self, tiny_world):
         topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        oracle = FlowVisibility(topo)
+        with_matrix = FlowVisibility(topo)
+        oracle = OracleVisibility(topo)
         src, dst = self._pairs_with_unknowns(topo)
         vis_m, peer_m = with_matrix.ixp_mask(src, dst)
         vis_o, peer_o = oracle.ixp_mask(src, dst)
@@ -87,8 +98,8 @@ class TestMaskFallback:
     @pytest.mark.parametrize("ingress_only", [True, False])
     def test_isp_mask_matches_oracle(self, tiny_world, ingress_only):
         topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        oracle = FlowVisibility(topo)
+        with_matrix = FlowVisibility(topo)
+        oracle = OracleVisibility(topo)
         observer = tiny_world.tier1.asn
         src, dst = self._pairs_with_unknowns(topo)
         vis_m, peer_m = with_matrix.isp_mask(observer, src, dst, ingress_only)
@@ -98,17 +109,41 @@ class TestMaskFallback:
 
     def test_out_of_registry_observer_uses_oracle(self, tiny_world):
         topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
-        oracle = FlowVisibility(topo)
+        with_matrix = FlowVisibility(topo)
+        oracle = OracleVisibility(topo)
         src, dst = self._pairs_with_unknowns(topo)
         vis_m, peer_m = with_matrix.isp_mask(424242, src, dst, False)
         vis_o, peer_o = oracle.isp_mask(424242, src, dst, False)
         np.testing.assert_array_equal(vis_m, vis_o)
         np.testing.assert_array_equal(peer_m, peer_o)
+        assert not vis_m.any() and (peer_m == -1).all()
+
+    def test_unknown_asns_and_observer_resolve_not_visible(self, tiny_world):
+        """Any unknown source, destination or observer gives ``(False, -1)``,
+        counts as a fallback row, and leaves the topology untouched."""
+        topo = tiny_world.topology
+        vis = FlowVisibility(topo)
+        known = sorted(topo.asns)
+        src = np.array([known[0], 999_999, known[1], -1, 999_999], dtype=np.int64)
+        dst = np.array([999_999, known[0], -1, known[2], 999_998], dtype=np.int64)
+        version = topo.version
+        with use_metrics(MetricsRegistry()) as registry:
+            results = [
+                vis.ixp_mask(src, dst),
+                vis.isp_mask(tiny_world.tier1.asn, src, dst, True),
+                vis.isp_mask(tiny_world.tier2.asn, src, dst, False),
+                vis.isp_mask(424242, src[[0]], np.array([known[1]]), False),
+            ]
+        for mask, peers in results:
+            assert not mask.any()
+            assert (peers == -1).all()
+        assert registry.counter("visibility.fallback_lookups") == 3 * src.size + 1
+        assert registry.counter("visibility.matrix_hits") == 0
+        assert topo.version == version
 
     def test_hit_and_fallback_counters(self, tiny_world):
         topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
+        with_matrix = FlowVisibility(topo)
         src, dst = self._pairs_with_unknowns(topo)  # 2 fully known, 4 with unknowns
         with use_metrics(MetricsRegistry()) as registry:
             with_matrix.ixp_mask(src, dst)
@@ -131,7 +166,7 @@ class TestIndexing:
 
     def test_stale_pair_index_rejected(self, tiny_world):
         topo = tiny_world.topology
-        with_matrix = FlowVisibility(topo, matrix=VisibilityMatrix(topo))
+        with_matrix = FlowVisibility(topo)
         asns = with_matrix.matrix.asns
         src = np.full(5, asns[0], dtype=np.int64)
         dst = np.full(5, asns[1], dtype=np.int64)
@@ -147,7 +182,7 @@ class TestInvalidation:
         )
         matrix = VisibilityMatrix(topo)
         before = matrix.generation
-        matrix.ixp_tables()
+        _all_pairs(matrix, matrix.lookup_ixp)
         asns = sorted(topo.asns)
         topo.add_peering(asns[-1], asns[-2], via_ixp=True)
         assert matrix.generation > before
@@ -157,11 +192,11 @@ class TestInvalidation:
             TopologyConfig(n_tier1=2, n_tier2=4, n_stub=8), SeedSequenceTree(5).child("w")
         )
         matrix = VisibilityMatrix(topo)
-        matrix.ixp_tables()
+        _all_pairs(matrix, matrix.lookup_ixp)
         asns = sorted(topo.asns)
         topo.add_peering(asns[-1], asns[-2], via_ixp=True)
-        oracle = FlowVisibility(topo)
-        visible, peer = matrix.ixp_tables()
+        oracle = OracleVisibility(topo)
+        visible, peer = _all_pairs(matrix, matrix.lookup_ixp)
         for i, src in enumerate(matrix.asns.tolist()):
             for j, dst in enumerate(matrix.asns.tolist()):
                 verdict = oracle.at_ixp(src, dst)
